@@ -6,7 +6,6 @@ from .poly import MultiPoly, TruncSeries
 from .fan import (
     Ray,
     StackyFan,
-    cone_census,
     fan_motive,
     hilb_fan,
     hilb_fan_two_sided,
@@ -44,7 +43,6 @@ __all__ = [
     "TruncSeries",
     "Ray",
     "StackyFan",
-    "cone_census",
     "fan_motive",
     "hilb_fan",
     "hilb_fan_two_sided",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fan import StackyFan
 from .linalg import in_row_span_z, invariant_factors
@@ -532,50 +532,3 @@ def compare_presentations(
         "graded": graded_report,
         "pass": all_ok,
     }
-
-
-def find_degree1_map(
-    a: GradedPresentation,
-    b: GradedPresentation,
-    bound: int,
-) -> Optional[Dict[str, MultiPoly]]:
-    """Brute-force search for a relation-preserving degree-1 map A -> B.
-
-    Candidate images are integer combinations of B's degree-1 variables
-    with coefficients in [-bound, bound].  Partial assignments are pruned
-    by checking every relation of A all of whose variables are assigned.
-    """
-    source_vars = list(a.variables())
-    target_vars = list(b.variables())
-    candidates: List[MultiPoly] = []
-    for coeffs in itertools.product(
-        range(-bound, bound + 1), repeat=len(target_vars)
-    ):
-        if all(c == 0 for c in coeffs):
-            continue
-        img = ZERO
-        for c, v in zip(coeffs, target_vars):
-            if c:
-                img = img + c * MultiPoly.var(v)
-        candidates.append(img)
-
-    relations_by_vars = [(rel, set(rel.vars)) for rel in a.relations]
-
-    def search(assignment: Dict[str, MultiPoly], rest: List[str]):
-        assigned = set(assignment)
-        for rel, used in relations_by_vars:
-            if used <= assigned:
-                if not ideal_member(b, rel.specialize(assignment)):
-                    return None
-        if not rest:
-            return dict(assignment)
-        name = rest[0]
-        for img in candidates:
-            assignment[name] = img
-            found = search(assignment, rest[1:])
-            if found is not None:
-                return found
-            del assignment[name]
-        return None
-
-    return search({}, source_vars)

@@ -5,7 +5,7 @@ their graded groups, the strata enumeration and the generating-function
 tables, each with JSON, CSV or aligned-text output.  Every command is
 deterministic, and the exit code reports the result of any cross-check the
 command runs internally: 0 for success, 2 for invalid parameters, 3 for a
-failed check.
+failed check.  Any other error is internal and exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -194,6 +194,17 @@ def cmd_chow(args: argparse.Namespace) -> int:
         raise UsageError("chow: need n >= 1")
     if not 0 <= args.i <= args.n:
         raise UsageError("chow: need 0 <= i <= n")
+    # sr reads neither --curve nor --ell; compare always works over p1
+    if args.subcommand == "keel" and (args.curve != "p1" or args.ell != 1):
+        raise UsageError("chow keel: needs --curve p1 and --ell 1")
+    if args.subcommand == "thmD" and args.ell < 1:
+        raise UsageError("chow thmD: need at least one marking")
+    if args.subcommand == "thmD" and args.curve != "p1" and (
+        args.groups or args.compare_sr
+    ):
+        raise UsageError("chow thmD: --groups and --compare-sr need --curve p1")
+    if args.subcommand == "sr" and args.compare_sr:
+        raise UsageError("chow: --compare-sr needs thmD or keel in p1 mode")
     checks: Dict[str, bool] = {}
     if args.subcommand == "sr":
         pres = sr_presentation(hilb_fan(args.n, args.i))
@@ -230,8 +241,6 @@ def cmd_chow(args: argparse.Namespace) -> int:
             for g in summary
         ]
     if args.compare_sr:
-        if args.subcommand == "sr" or args.curve != "p1":
-            raise UsageError("chow: --compare-sr needs thmD or keel in p1 mode")
         report = _sr_comparison(args.n, args.i, pres)
         payload["sr_comparison"] = report
         checks["sr_comparison"] = report["pass"]
@@ -273,7 +282,10 @@ def _chow_compare(args: argparse.Namespace) -> int:
 
 
 def _mode(args: argparse.Namespace) -> ZetaMode:
-    return ZetaMode(args.mode, args.g)
+    try:
+        return ZetaMode(args.mode, args.g)
+    except ValueError as exc:
+        raise UsageError(f"motive: {exc}") from exc
 
 
 def cmd_motive(args: argparse.Namespace) -> int:
@@ -420,7 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FanError as exc:
         print(f"fan invariant failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (UsageError, ProfileError, ValueError) as exc:
+    except (UsageError, ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

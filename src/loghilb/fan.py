@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .linalg import (
-    InconsistentSystemError,
-    NonUniqueSolutionError,
-    det,
-    rational_solve,
-)
+from .linalg import det, rational_solve
 from .poly import MultiPoly
 
 Vector = Tuple[int, ...]
@@ -113,10 +108,6 @@ class StackyFan:
                 facet_count[facet] = facet_count.get(facet, 0) + 1
         return all(c == 2 for c in facet_count.values())
 
-    def is_simplicial(self) -> bool:
-        # linear independence is enforced at construction for maximal cones
-        return True
-
     def cone_coordinates(self, cone, v: Sequence[int]):
         """Rational coordinates of v in the ray basis of a full cone's span."""
         idx = sorted(cone)
@@ -125,10 +116,7 @@ class StackyFan:
         return idx, rational_solve(a, list(v))
 
     def contains_in_cone(self, cone, v: Sequence[int]) -> bool:
-        try:
-            _, coords = self.cone_coordinates(cone, v)
-        except (InconsistentSystemError, NonUniqueSolutionError):
-            return False
+        _, coords = self.cone_coordinates(cone, v)
         return all(c >= 0 for c in coords)
 
     def check_intersections_are_faces(self) -> bool:
@@ -214,10 +202,7 @@ def minimal_cone(fan: StackyFan, v: Sequence[int]) -> FrozenSet[int]:
     if all(x == 0 for x in vv):
         raise FanError("zero vector has no minimal cone")
     for cone in fan.max_cones:
-        try:
-            idx, coords = fan.cone_coordinates(cone, vv)
-        except (InconsistentSystemError, NonUniqueSolutionError):
-            continue
+        idx, coords = fan.cone_coordinates(cone, vv)
         if all(c >= 0 for c in coords):
             return frozenset(i for i, c in zip(idx, coords) if c > 0)
     raise FanError(f"vector {vv} lies outside the support of the fan")
@@ -299,10 +284,6 @@ def insert_weighted_ray(
     if not is_primitive(v):
         raise FanError(f"weighted ray {tuple(v)} is imprimitive")
     return star_subdivide(fan, tuple(v), label=label)
-
-
-def cone_census(fan: StackyFan) -> Tuple[int, ...]:
-    return fan.census()
 
 
 def fan_motive(fan: StackyFan, lefschetz: str = "L") -> MultiPoly:

@@ -1,76 +1,27 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 All matrices are plain lists of lists of Python integers (arbitrary
-precision).  The module provides Smith and Hermite normal forms with
-unimodular transforms, rational linear solving, and membership tests for
-the integer row span of a matrix.  Everything is implemented with naive
-Euclidean pivoting, which is entirely adequate at the matrix sizes that
-occur here (a few hundred rows/columns).
+precision).  There is one integer row-elimination kernel,
+``hermite_normal_form``, which computes the row-style Hermite normal form
+without a transform matrix.  Membership in the integer row span reduces a
+vector against that form, and invariant factors come from alternating
+Hermite forms of a matrix and its transpose until each row has a single
+nonzero entry (Kannan–Bachem).  Square systems are solved by Cramer's rule on the
+fraction-free Bareiss determinant.  Naive Euclidean pivoting is entirely
+adequate at the matrix sizes that occur here (a few hundred rows/columns).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 Matrix = List[List[int]]
 
 
-class InconsistentSystemError(ValueError):
-    """The linear system has no solution."""
-
-
-class NonUniqueSolutionError(ValueError):
-    """The linear system is consistent but underdetermined."""
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Thin immutable wrapper around a dense integer matrix."""
-
-    rows: int
-    cols: int
-    entries: Tuple[Tuple[int, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
-        ncols = len(data[0]) if data else 0
-        if any(len(r) != ncols for r in data):
-            raise ValueError("ragged matrix")
-        return IntMatrix(len(data), ncols, data)
-
-    def to_lists(self) -> Matrix:
-        return [list(r) for r in self.entries]
-
-
 def _as_lists(m) -> Matrix:
-    if isinstance(m, IntMatrix):
-        return m.to_lists()
     return [list(map(int, row)) for row in m]
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for p in range(k):
-            c = ai[p]
-            if c:
-                bp = b[p]
-                row = out[i]
-                for j in range(m):
-                    row[j] += c * bp[j]
-    return out
 
 
 def det(m) -> int:
@@ -100,150 +51,65 @@ def det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(m) -> Tuple[Matrix, Matrix, Matrix]:
-    """Return (D, U, V) with U*M*V = D in Smith normal form.
+def hermite_normal_form(m) -> Matrix:
+    """Row-style Hermite normal form H of m, reached by unimodular row operations.
 
-    U and V are unimodular; the diagonal of D is non-negative and each
-    entry divides the next.
+    H is in row echelon form with positive pivots and entries above each
+    pivot reduced into [0, pivot).
     """
     a = _as_lists(m)
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    u = identity(nrows)
-    v = identity(ncols)
-
-    def pivot_search(start: int) -> Optional[Tuple[int, int]]:
-        best = None
-        for i in range(start, nrows):
-            for j in range(start, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(nrows, ncols):
-        loc = pivot_search(t)
-        if loc is None:
-            break
-        i, j = loc
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            for row in v:
-                row[t], row[j] = row[j], row[t]
-        # clear column t and row t by Euclidean steps
+    r = 0
+    for c in range(ncols):
+        # gcd the column below row r into position r
+        piv = None
+        for i in range(r, nrows):
+            if a[i][c] != 0 and (piv is None or abs(a[i][c]) < abs(a[piv][c])):
+                piv = i
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
         while True:
-            done = True
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    for j in range(ncols):
-                        a[i][j] -= q * a[t][j]
-                    for j in range(nrows):
-                        u[i][j] -= q * u[t][j]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        done = False
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    for i in range(nrows):
-                        a[i][j] -= q * a[i][t]
-                    for i in range(ncols):
-                        v[i][j] -= q * v[i][t]
-                    if a[t][j] != 0:
-                        # move the smaller remainder into pivot position
-                        for i in range(nrows):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        for i in range(ncols):
-                            v[i][t], v[i][j] = v[i][j], v[i][t]
-                        done = False
-            if done:
+            nonzero = [i for i in range(r + 1, nrows) if a[i][c] != 0]
+            if not nonzero:
                 break
-        # enforce divisibility of the remaining block by the pivot
-        pivot = a[t][t]
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % pivot != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(ncols):
-                a[t][j] += a[bad][j]
-            for j in range(nrows):
-                u[t][j] += u[bad][j]
-            continue  # redo this pivot
-        if pivot < 0:
-            for j in range(ncols):
-                a[t][j] = -a[t][j]
-            for j in range(nrows):
-                u[t][j] = -u[t][j]
-        t += 1
-    return a, u, v
+            for i in nonzero:
+                q = a[i][c] // a[r][c]
+                for j in range(ncols):
+                    a[i][j] -= q * a[r][j]
+            piv = r
+            for i in range(r + 1, nrows):
+                if a[i][c] != 0 and abs(a[i][c]) < abs(a[piv][c]):
+                    piv = i
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                for j in range(ncols):
+                    a[i][j] -= q * a[r][j]
+        r += 1
+        if r == nrows:
+            break
+    return a
 
 
 def invariant_factors(m) -> List[int]:
     """Nonzero diagonal entries of the Smith normal form.
 
-    Computed without transform matrices; pivots with absolute value 1 are
-    preferred to keep intermediate entries small.
+    Row-style Hermite forms of the matrix and of its transpose alternate,
+    zero rows dropped, until every row has a single nonzero entry.
     """
-    a = [row[:] for row in _as_lists(m)]
-    a = [row for row in a if any(row)]
-    diag: List[int] = []
-    while a and a[0]:
-        nrows = len(a)
-        ncols = len(a[0])
-        best = None
-        for i in range(nrows):
-            for j in range(ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-                    if abs(x) == 1:
-                        break
-            if best is not None and abs(a[best[0]][best[1]]) == 1:
-                break
-        if best is None:
+    a = m
+    while True:
+        a = [row for row in hermite_normal_form(a) if any(row)]
+        if all(sum(1 for x in row if x) == 1 for row in a):
             break
-        bi, bj = best
-        a[0], a[bi] = a[bi], a[0]
-        for row in a:
-            row[0], row[bj] = row[bj], row[0]
-        while True:
-            # clear first column
-            again = False
-            for i in range(1, len(a)):
-                if a[i][0] != 0:
-                    q = a[i][0] // a[0][0]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[0])]
-                    if a[i][0] != 0:
-                        a[0], a[i] = a[i], a[0]
-                        again = True
-            # clear first row
-            for j in range(1, ncols):
-                if a[0][j] != 0:
-                    q = a[0][j] // a[0][0]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[0]
-                    if a[0][j] != 0:
-                        for row in a:
-                            row[0], row[j] = row[j], row[0]
-                        again = True
-            if not again:
-                break
-        diag.append(abs(a[0][0]))
-        a = [row[1:] for row in a[1:] if any(row[1:])]
+        a = [list(col) for col in zip(*a)]
+    diag = [abs(x) for row in a for x in row if x]
     # a diagonal reached by unimodular operations determines the invariant
     # factors after pairwise gcd/lcm normalization of its entries
     changed = True
@@ -258,66 +124,11 @@ def invariant_factors(m) -> List[int]:
     return sorted(diag)
 
 
-def hermite_normal_form(m) -> Tuple[Matrix, Matrix]:
-    """Row-style Hermite normal form: (H, U) with U*M = H, U unimodular.
-
-    H is in row echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot).
-    """
-    a = _as_lists(m)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = identity(nrows)
-    r = 0
-    for c in range(ncols):
-        # gcd the column below row r into position r
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0 and (piv is None or abs(a[i][c]) < abs(a[piv][c])):
-                piv = i
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        u[r], u[piv] = u[piv], u[r]
-        while True:
-            nonzero = [i for i in range(r + 1, nrows) if a[i][c] != 0]
-            if not nonzero:
-                break
-            for i in nonzero:
-                q = a[i][c] // a[r][c]
-                for j in range(ncols):
-                    a[i][j] -= q * a[r][j]
-                for j in range(nrows):
-                    u[i][j] -= q * u[r][j]
-            piv = r
-            for i in range(r + 1, nrows):
-                if a[i][c] != 0 and abs(a[i][c]) < abs(a[piv][c]):
-                    piv = i
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-                u[r], u[piv] = u[piv], u[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                for j in range(ncols):
-                    a[i][j] -= q * a[r][j]
-                for j in range(nrows):
-                    u[i][j] -= q * u[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return a, u
-
-
 def in_row_span_z(m, target: Sequence[int]) -> bool:
     """Is the target vector an integer combination of the rows of m?"""
-    a = _as_lists(m)
-    if not a:
+    if not m:
         return all(x == 0 for x in target)
-    h, _ = hermite_normal_form(a)
+    h = hermite_normal_form(m)
     b = list(map(int, target))
     ncols = len(b)
     for row in h:
@@ -333,40 +144,19 @@ def in_row_span_z(m, target: Sequence[int]) -> bool:
     return all(x == 0 for x in b)
 
 
-def rational_solve(a, b: Sequence) -> List[Fraction]:
-    """Solve A*x = b exactly over the rationals.
+def rational_solve(a, b: Sequence[int]) -> List[Fraction]:
+    """Solve the square integer system A*x = b exactly by Cramer's rule.
 
-    Raises InconsistentSystemError when no solution exists and
-    NonUniqueSolutionError when the solution is not unique.
+    Raises ValueError when A is singular or the shapes do not match.
     """
-    rows = [[Fraction(x) for x in row] for row in _as_lists(a)]
-    rhs = [Fraction(x) for x in b]
-    nrows = len(rows)
-    if len(rhs) != nrows:
+    rows = _as_lists(a)
+    rhs = list(map(int, b))
+    if len(rhs) != len(rows):
         raise ValueError("dimension mismatch")
-    ncols = len(rows[0]) if nrows else 0
-    aug = [rows[i] + [rhs[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            raise InconsistentSystemError("no solution")
-    if len(pivots) < ncols:
-        raise NonUniqueSolutionError("solution space is positive-dimensional")
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return x
+    d = det(rows)
+    if d == 0:
+        raise ValueError("singular system")
+    return [
+        Fraction(det([row[:j] + [x] + row[j + 1:] for row, x in zip(rows, rhs)]), d)
+        for j in range(len(rows))
+    ]

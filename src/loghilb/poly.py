@@ -13,7 +13,7 @@ functions whose denominator has unit constant term.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -88,12 +88,6 @@ class MultiPoly:
     def constant_term(self) -> int:
         zero = (0,) * len(self.vars)
         return self.terms.get(zero, 0)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars or not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return max(exp[i] for exp in self.terms)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -215,7 +209,11 @@ class MultiPoly:
     def __hash__(self) -> int:
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
+            if self.vars:
+                h = hash((self.vars, frozenset(self.terms.items())))
+            else:
+                # constants hash like the ints they compare equal to
+                h = hash(self.terms.get((), 0))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -254,14 +252,6 @@ class MultiPoly:
 
 ZERO = MultiPoly.const(0)
 ONE = MultiPoly.const(1)
-
-
-def poly_from_string_terms(pairs: Iterable[Tuple[Mapping[str, int], int]]) -> MultiPoly:
-    """Build a polynomial from (powers, coefficient) pairs."""
-    total = ZERO
-    for powers, coeff in pairs:
-        total = total + MultiPoly.monomial(powers, coeff)
-    return total
 
 
 class TruncSeries:
@@ -327,9 +317,6 @@ class TruncSeries:
                 acc = acc + self.coeffs[i] * other.coeffs[k - i]
             coeffs.append(acc)
         return TruncSeries(order, coeffs)
-
-    def mul_poly(self, p: MultiPoly, tvar: str = "t") -> "TruncSeries":
-        return self * TruncSeries.from_poly(p, self.order, tvar)
 
     def __repr__(self) -> str:
         parts = []

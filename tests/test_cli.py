@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from loghilb import cli
 from loghilb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -121,6 +122,39 @@ def test_chow_symbolic_two_markings(capsys):
 def test_chow_rejects_compare_sr_on_sr(capsys):
     code, _, err = run(capsys, "chow", "sr", "--n", "2", "--i", "1", "--compare-sr")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("thmD", "--curve", "symbolic", "--groups"),
+        ("thmD", "--curve", "symbolic", "--compare-sr"),
+        ("thmD", "--curve", "symbolic", "--ell", "0"),
+        ("keel", "--curve", "symbolic"),
+        ("keel", "--ell", "2"),
+    ],
+)
+def test_chow_parameter_errors(capsys, extra):
+    code, _, err = run(capsys, "chow", extra[0], "--n", "2", "--i", "1", *extra[1:])
+    assert code == EXIT_USAGE
+    assert "error:" in err
+
+
+def test_chow_sr_ignores_curve(capsys):
+    code, out, _ = run(
+        capsys, "chow", "sr", "--n", "2", "--i", "1", "--curve", "symbolic", "--groups"
+    )
+    assert code == EXIT_OK
+    assert "degree" in out
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(pres):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "graded_groups", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["chow", "sr", "--n", "2", "--i", "1", "--groups"])
 
 
 def test_motive_single_marking(capsys):

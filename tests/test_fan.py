@@ -43,7 +43,6 @@ def test_projective_fan_basics():
     fan = projective_fan(3)
     assert fan.census() == (1, 4, 6, 4)
     assert fan.is_complete()
-    assert fan.is_simplicial()
     assert fan.check_intersections_are_faces()
 
 

@@ -21,6 +21,15 @@ def test_constants_and_vars():
     assert ZERO.vars == ()
 
 
+def test_constants_hash_like_ints():
+    # equal values must hash equally, or sets and dicts keep both
+    assert len({MultiPoly.const(1), 1}) == 1
+    assert len({MultiPoly.const(0), 0}) == 1
+    assert len({ZERO, MultiPoly.var("x") - MultiPoly.var("x"), 0}) == 1
+    assert hash(MultiPoly.const(-7)) == hash(-7)
+    assert {MultiPoly.const(3): "a"}[3] == "a"
+
+
 def test_canonical_form_drops_zero_terms_and_unused_vars():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     p = x * y - x * y + x
