@@ -34,6 +34,7 @@ from .fan import (
     fan_motive,
     hilb_fan,
     hilb_fan_two_sided,
+    is_palindromic,
 )
 from .poly import MultiPoly
 from .strata import (
@@ -143,22 +144,27 @@ def cmd_fan(args: argparse.Namespace) -> int:
     checks: Dict[str, bool] = {}
     if args.markings == "0":
         fan = hilb_fan(args.n, args.i)
+        motive = fan_motive(fan)
     else:
         i_inf = args.i_inf if args.i_inf is not None else args.i
         if not 0 <= i_inf <= args.n:
             raise UsageError("fan: need 0 <= i-inf <= n")
         fan = hilb_fan_two_sided(args.n, args.i, i_inf)
+        motive = fan_motive(fan)
         if args.i == i_inf == 1:
             # the motive of the fully subdivided two-marking fan must agree
             # with the two-marking generating function, in particular at L=1
-            motive = fan_motive(fan)
             expected = closed_form(MOTIVIC_P1, 2, args.n).coeffs[args.n]
             checks["motive_matches_two_marking_series"] = motive == expected
             euler = sum(motive.terms.values())
             expected_euler = sum(expected.terms.values())
             checks["euler_characteristic"] = euler == expected_euler
     checks["complete"] = fan.is_complete()
-    checks["intersections_are_faces"] = fan.check_intersections_are_faces()
+    defect = fan.fan_defect()
+    checks["intersections_are_faces"] = defect is None
+    checks["motive_palindromic"] = is_palindromic(motive)
+    if defect is not None:
+        print(f"fan check failed: {defect}", file=sys.stderr)
     census = fan.census()
     payload = {
         "command": "fan",
@@ -167,7 +173,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         "markings": args.markings,
         "fan": fan.to_json_dict(),
         "census": list(census),
-        "motive": fan_motive(fan).to_string(),
+        "motive": motive.to_string(),
         "checks": checks,
     }
     rows = [

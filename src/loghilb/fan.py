@@ -99,14 +99,21 @@ class StackyFan:
             counts[len(cone)] += 1
         return tuple(counts)
 
+    def facet_opposites(self) -> Dict[FrozenSet[int], List[int]]:
+        """Map each facet (a maximal cone minus one ray) to its opposite rays.
+
+        A facet's list holds the missing ray of every maximal cone that
+        contains it, in the order of ``max_cones``.
+        """
+        opposites: Dict[FrozenSet[int], List[int]] = {}
+        for cone in self.max_cones:
+            for i in sorted(cone):
+                opposites.setdefault(cone - {i}, []).append(i)
+        return opposites
+
     def is_complete(self) -> bool:
         """Every codimension-1 face must bound exactly two maximal cones."""
-        facet_count: Dict[FrozenSet[int], int] = {}
-        for cone in self.max_cones:
-            for i in cone:
-                facet = cone - {i}
-                facet_count[facet] = facet_count.get(facet, 0) + 1
-        return all(c == 2 for c in facet_count.values())
+        return all(len(o) == 2 for o in self.facet_opposites().values())
 
     def cone_coordinates(self, cone, v: Sequence[int]):
         """Rational coordinates of v in the ray basis of a full cone's span."""
@@ -119,12 +126,77 @@ class StackyFan:
         _, coords = self.cone_coordinates(cone, v)
         return all(c >= 0 for c in coords)
 
+    def _cone_name(self, cone) -> str:
+        return "{" + ", ".join(self.labels(cone)) + "}"
+
+    def fan_defect(self) -> Optional[str]:
+        """Decide by local determinant signs whether the maximal cones form a fan.
+
+        Returns None for a fan; otherwise a short description of the first
+        failure, naming its facet or cones by ray labels.  Three conditions
+        are checked:
+
+        1. every facet bounds exactly two maximal cones;
+        2. at each facet F with opposite rays u and w, the rows of F in
+           sorted order give ``det(F + [u]) * det(F + [w]) < 0``: u and w
+           lie strictly on opposite sides of the hyperplane spanned by F;
+        3. the sum of the rays of the first maximal cone lies in no other
+           maximal cone.
+
+        Why they suffice: map the abstract cone complex radially onto the
+        unit sphere.  By (1) and (2) the map is a local homeomorphism away
+        from the codimension-2 faces.  Over the complement X of the images
+        of those faces, which is connected (dim >= 2), it is a proper local
+        homeomorphism, hence a covering with some number d of sheets.  The
+        cones around a codimension-2 face wind k >= 1 times around it and
+        give k sheets near it, so k <= d.  The point of (3) lies in X and has
+        one preimage, so d = 1.  Then every such star winds once, and by
+        induction on codimension (links of higher codimension cover simply
+        connected spheres) the map is a local homeomorphism everywhere, so
+        a homeomorphism: distinct cones have disjoint relative interiors,
+        i.e. they meet in common faces.  In dim 1, (1) and (2) say directly
+        that the two rays point in opposite directions.  Condition (3) is
+        needed: five plane cones can wind twice around the origin and pass
+        every facet test.
+
+        Cost: two determinants per facet and (cones - 1) cone-membership
+        solves, against the O(cones^2) solves of the test oracle
+        ``check_intersections_are_faces``.
+        """
+        if not self.max_cones:
+            return "there are no maximal cones"
+        for facet, opposite in self.facet_opposites().items():
+            if len(opposite) != 2:
+                return (
+                    f"facet {self._cone_name(facet)} bounds {len(opposite)} "
+                    "of the maximal cones, not 2"
+                )
+            rows = [list(self.rays[i].vector) for i in sorted(facet)]
+            u, w = opposite
+            side_u = det(rows + [list(self.rays[u].vector)])
+            side_w = det(rows + [list(self.rays[w].vector)])
+            if side_u * side_w >= 0:
+                return (
+                    f"rays {self.rays[u].label} and {self.rays[w].label} lie on "
+                    f"the same side of facet {self._cone_name(facet)}"
+                )
+        first = self.max_cones[0]
+        point = [sum(self.rays[i].vector[k] for i in first) for k in range(self.dim)]
+        for cone in self.max_cones[1:]:
+            if self.contains_in_cone(cone, point):
+                return (
+                    f"the interior of cone {self._cone_name(first)} meets "
+                    f"cone {self._cone_name(cone)}"
+                )
+        return None
+
     def check_intersections_are_faces(self) -> bool:
         """Exhaustive pairwise check that cone intersections are faces.
 
         For two maximal simplicial cones this verifies that every lattice
         point expressible with non-negative coordinates in both cones is
-        supported on the common ray set.  Intended for dim <= 5.
+        supported on the common ray set.  It runs O(cones^2) cone-membership
+        solves and is the test oracle for ``fan_defect``, which the CLI uses.
         """
         faces = self.all_cones()
         for a in self.max_cones:
@@ -298,6 +370,18 @@ def fan_motive(fan: StackyFan, lefschetz: str = "L") -> MultiPoly:
     for count, dim in zip(fan.census(), range(fan.dim + 1)):
         total = total + count * (lm1 ** (fan.dim - dim))
     return total
+
+
+def is_palindromic(motive: MultiPoly) -> bool:
+    """Dehn–Sommerville: the coefficients of a complete fan's motive are symmetric.
+
+    The motive is the h-polynomial of the fan in L, and the h-vector of a
+    complete simplicial fan reads the same reversed.
+    """
+    coeffs = [0] * (motive.degree() + 1)
+    for exp, c in motive.terms.items():
+        coeffs[sum(exp)] += c
+    return coeffs == coeffs[::-1]
 
 
 def involution_matrix(n: int) -> List[List[int]]:

@@ -12,6 +12,8 @@ from loghilb.cli import (
     SCHEMA_VERSION,
     main,
 )
+from loghilb.fan import StackyFan
+from test_fan import pentagram_fan
 
 
 def run(capsys, *argv):
@@ -60,6 +62,36 @@ def test_fan_deterministic_output(capsys, tmp_path):
         )
         assert code == EXIT_OK
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_fan_cli_uses_the_local_check(capsys, monkeypatch):
+    def oracle(self):
+        raise AssertionError("pairwise check called")
+
+    monkeypatch.setattr(StackyFan, "check_intersections_are_faces", oracle)
+    code, out, _ = run(capsys, "fan", "--n", "3", "--i", "1", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["checks"]["intersections_are_faces"] is True
+
+
+def test_fan_failed_check_names_the_cone(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "hilb_fan", lambda n, i: pentagram_fan())
+    argv = ("fan", "--n", "2", "--i", "1", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CHECK_FAILED
+    checks = json.loads(out)["checks"]
+    assert checks["intersections_are_faces"] is False
+    assert checks["complete"] is True
+    assert "cone {p0, p2}" in err
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_fan_motive_palindromic_check(capsys):
+    for markings in (("0",), ("0+inf", "--i-inf", "2")):
+        argv = ("fan", "--n", "3", "--i", "1", "--format", "json", "--markings")
+        code, out, _ = run(capsys, *argv, *markings)
+        assert code == EXIT_OK
+        assert json.loads(out)["checks"]["motive_palindromic"] is True
 
 
 def test_fan_cap_and_force(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from loghilb.fan import (
     hilb_fan_two_sided,
     insert_weighted_ray,
     involution_matrix,
+    is_palindromic,
     is_primitive,
     minimal_cone,
     product_p1_fan,
@@ -207,3 +208,95 @@ def test_fan_json_roundtrip_fields():
     assert doc["dim"] == 2
     assert len(doc["rays"]) == 4
     assert all(sorted(c) == c for c in doc["max_cones"])
+
+
+# -- the local fan check against the pairwise oracle ---------------------
+
+
+def pentagram_fan() -> StackyFan:
+    """Five plane cones, each joining a ray to the next-but-one: they wind
+    twice around the origin, so every facet test passes on a non-fan."""
+    vectors = [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)]
+    rays = [Ray(f"p{k}", v) for k, v in enumerate(vectors)]
+    return StackyFan(2, rays, [frozenset({k, (k + 2) % 5}) for k in range(5)])
+
+
+def with_ray(fan: StackyFan, label: str, vector) -> StackyFan:
+    rays = [Ray(r.label, vector if r.label == label else r.vector) for r in fan.rays]
+    return StackyFan(fan.dim, rays, fan.max_cones)
+
+
+def oracle_fans(n):
+    yield product_p1_fan(n)
+    for i in range(n + 1):
+        yield hilb_fan(n, i)
+        for j in range(n + 1):
+            yield hilb_fan_two_sided(n, i, j)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_fan_defect_agrees_with_pairwise_oracle(n):
+    for fan in oracle_fans(n):
+        assert fan.fan_defect() is None
+        assert fan.check_intersections_are_faces()
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_fan_defect_accepts_hilb_fans(n):
+    for i in range(n + 1):
+        assert hilb_fan(n, i).fan_defect() is None
+
+
+def test_facet_opposites_bound_two_cones():
+    fan = hilb_fan(3, 1)
+    opposites = fan.facet_opposites()
+    assert len(opposites) == len(fan.max_cones) * fan.dim // 2
+    for facet, (u, w) in opposites.items():
+        assert u not in facet and w not in facet and u != w
+
+
+def test_ray_moved_across_its_facet_is_rejected():
+    # rho_3 = (1, 2, 3) moved below the plane of the facet {sigma_1, sigma_2}
+    fan = with_ray(hilb_fan(3, 2), "rho_3", (1, 2, -3))
+    assert fan.is_complete()
+    assert not fan.check_intersections_are_faces()
+    assert fan.fan_defect() == (
+        "rays tau and rho_3 lie on the same side of facet {sigma_1, sigma_2}"
+    )
+
+
+def test_overlapping_extra_cone_is_rejected():
+    # the corner cone of projective 3-space, which the rho_3 subdivision split
+    base = hilb_fan(3, 2)
+    corner = frozenset(base.ray_index(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert corner not in base.max_cones
+    fan = StackyFan(3, base.rays, base.max_cones + (corner,))
+    assert not fan.check_intersections_are_faces()
+    assert fan.fan_defect() == (
+        "facet {sigma_2, sigma_3} bounds 3 of the maximal cones, not 2"
+    )
+
+
+def test_pentagram_double_cover_is_rejected():
+    fan = pentagram_fan()
+    assert fan.is_complete()
+    assert not fan.check_intersections_are_faces()
+    # every facet test passes; only the one-sheet test catches the cover
+    assert fan.fan_defect() == "the interior of cone {p0, p2} meets cone {p1, p3}"
+
+
+def test_incomplete_fan_is_rejected():
+    base = hilb_fan(3, 1)
+    fan = StackyFan(3, base.rays, base.max_cones[1:])
+    assert "bounds 1 of the maximal cones" in fan.fan_defect()
+    assert StackyFan(2, [Ray("a", (1, 0))], []).fan_defect() is not None
+
+
+def test_is_palindromic():
+    L = MultiPoly.var("L")
+    assert is_palindromic(L ** 2 + 3 * L + 1)
+    assert is_palindromic(fan_motive(pentagram_fan()))
+    assert not is_palindromic(L ** 2 + 2 * L + 2)
+    for n in range(1, 5):
+        for fan in oracle_fans(n):
+            assert is_palindromic(fan_motive(fan))
