@@ -304,6 +304,11 @@ def eps_name(j: int, r: int = 1) -> str:
     return f"eps{j}_{r}"
 
 
+def eps_level(name: str) -> int:
+    """The point count j of the generator ``eps_name(j, r)``."""
+    return int(name[len("eps"):].partition("_")[0])
+
+
 def q_polynomial(
     m: int,
     h: int,

@@ -3,9 +3,12 @@
 Subcommands expose the fan constructions, the Chow-ring presentations with
 their graded groups, the strata enumeration and the generating-function
 tables, each with JSON, CSV or aligned-text output.  Every command is
-deterministic, and the exit code reports the result of any cross-check the
-command runs internally: 0 for success, 2 for invalid parameters, 3 for a
-failed check.  Any other error is internal and exits 1 with a traceback.
+deterministic and returns its payload and table rows to ``main``; the
+payload's ``checks`` map holds the verdict of each cross-check the command
+ran, by name.  ``main`` writes the output once and picks the exit code: 0 for
+success, 2 for invalid parameters, 3 when any entry of ``checks`` is false
+or a fan invariant fails.  Any other error is internal and exits 1 with a
+traceback.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ import io
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chow import (
     BaseRing,
     compare_presentations,
+    eps_level,
     graded_groups,
     ideals_equal,
     iterated_keel,
@@ -50,7 +54,7 @@ from .strata import (
     stratum_class,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,18 +128,14 @@ def _emit(payload: dict, rows: List[dict], args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _groups_summary(pres) -> List[dict]:
-    return [
-        {"degree": g.degree, "rank": g.rank, "torsion": list(g.torsion)}
-        for g in graded_groups(pres)
-    ]
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, rows), and payload["checks"] maps the
+# name of every cross-check it ran to its verdict
+
+Result = Tuple[dict, List[dict]]
 
 
-def cmd_fan(args: argparse.Namespace) -> int:
+def cmd_fan(args: argparse.Namespace) -> Result:
     _check_cap(args.n, _cap(MAX_N_FAN), "fan", args.force)
     if args.n < 1:
         raise UsageError("fan: need n >= 1")
@@ -182,8 +182,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         {"ray": ray.label, "vector": " ".join(map(str, ray.vector))}
         for ray in fan.rays
     ]
-    _emit(payload, rows, args)
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    return payload, rows
 
 
 def _base_ring(args: argparse.Namespace) -> BaseRing:
@@ -194,7 +193,7 @@ def _base_ring(args: argparse.Namespace) -> BaseRing:
     return BaseRing.symbolic(args.ell)
 
 
-def cmd_chow(args: argparse.Namespace) -> int:
+def cmd_chow(args: argparse.Namespace) -> Result:
     _check_cap(args.n, _cap(MAX_N_GROUPS), "chow", args.force)
     if args.n < 1:
         raise UsageError("chow: need n >= 1")
@@ -236,7 +235,7 @@ def cmd_chow(args: argparse.Namespace) -> int:
         for rel in pres.all_relations()
     ]
     if args.groups or args.compare_sr:
-        summary = _groups_summary(pres)
+        summary = [g.to_json_dict() for g in graded_groups(pres)]
         payload["graded_groups"] = summary
         rows = [
             {
@@ -250,20 +249,18 @@ def cmd_chow(args: argparse.Namespace) -> int:
         report = _sr_comparison(args.n, args.i, pres)
         payload["sr_comparison"] = report
         checks["sr_comparison"] = report["pass"]
-    _emit(payload, rows, args)
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    return payload, rows
 
 
 def _sr_comparison(n: int, i: int, pres) -> dict:
     sr = sr_presentation(hilb_fan(n, i))
     gen_map = {"H": MultiPoly.var("tau")}
     for name in pres.generators:
-        level = int(name[3:].split("_")[0])
-        gen_map[name] = MultiPoly.var(f"rho_{level}")
+        gen_map[name] = MultiPoly.var(f"rho_{eps_level(name)}")
     return compare_presentations(pres, sr, gen_map)
 
 
-def _chow_compare(args: argparse.Namespace) -> int:
+def _chow_compare(args: argparse.Namespace) -> Result:
     pres = thmD_presentation(args.n, [args.i], BaseRing.p1(args.n))
     report = _sr_comparison(args.n, args.i, pres)
     payload = {
@@ -271,6 +268,7 @@ def _chow_compare(args: argparse.Namespace) -> int:
         "n": args.n,
         "i": args.i,
         "report": report,
+        "checks": {"sr_comparison": report["pass"]},
     }
     rows = [
         {
@@ -283,8 +281,7 @@ def _chow_compare(args: argparse.Namespace) -> int:
         }
         for entry in report["graded"]
     ]
-    _emit(payload, rows, args)
-    return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+    return payload, rows
 
 
 def _mode(args: argparse.Namespace) -> ZetaMode:
@@ -294,22 +291,20 @@ def _mode(args: argparse.Namespace) -> ZetaMode:
         raise UsageError(f"motive: {exc}") from exc
 
 
-def cmd_motive(args: argparse.Namespace) -> int:
+def cmd_motive(args: argparse.Namespace) -> Result:
     _check_cap(args.N, _cap(MAX_N_MOTIVE), "motive", args.force)
     if args.ell < 1:
         raise UsageError("motive: need at least one marking")
     mode = _mode(args)
     series = closed_form(mode, args.ell, args.N)
-    rows = []
-    all_ok = True
-    for n in range(args.N + 1):
-        coeff = series.coeffs[n]
-        oracle = strata_sum(n, args.ell, mode)
-        ok = coeff == oracle
-        all_ok = all_ok and ok
-        rows.append(
-            {"n": n, "coefficient": coeff.to_string(), "verified": ok}
-        )
+    rows = [
+        {
+            "n": n,
+            "coefficient": coeff.to_string(),
+            "verified": coeff == strata_sum(n, args.ell, mode),
+        }
+        for n, coeff in enumerate(series.coeffs)
+    ]
     payload = {
         "command": "motive",
         "mode": args.mode,
@@ -317,13 +312,14 @@ def cmd_motive(args: argparse.Namespace) -> int:
         "ell": args.ell,
         "N": args.N,
         "rows": rows,
-        "all_verified": all_ok,
+        "checks": {
+            "strata_sum_matches_series": all(row["verified"] for row in rows)
+        },
     }
-    _emit(payload, rows, args)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return payload, rows
 
 
-def cmd_strata(args: argparse.Namespace) -> int:
+def cmd_strata(args: argparse.Namespace) -> Result:
     _check_cap(args.n, _cap(MAX_N_MOTIVE), "strata", args.force)
     if args.ell < 1:
         raise UsageError("strata: need at least one marking")
@@ -354,21 +350,19 @@ def cmd_strata(args: argparse.Namespace) -> int:
                 or "-",
             }
         )
+    checks: Dict[str, bool] = {}
+    if args.profile is None:
+        expected = closed_form(mode, args.ell, args.n).coeffs[args.n]
+        checks["total_matches_series"] = total == expected
     payload = {
         "command": "strata",
         "n": args.n,
         "ell": args.ell,
         "rows": rows,
         "total": total.to_string(),
+        "checks": checks,
     }
-    if args.profile is None:
-        expected = closed_form(mode, args.ell, args.n).coeffs[args.n]
-        payload["total_matches_series"] = total == expected
-        if not payload["total_matches_series"]:
-            _emit(payload, rows, args)
-            return EXIT_CHECK_FAILED
-    _emit(payload, rows, args)
-    return EXIT_OK
+    return payload, rows
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +428,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, rows = args.func(args)
     except FanError as exc:
         print(f"fan invariant failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (UsageError, ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _emit(payload, rows, args)
+    return EXIT_OK if all(payload["checks"].values()) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ demand.  Fans are immutable values and all operations are pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -56,13 +55,14 @@ class StackyFan:
     insertion order and cones are kept sorted for deterministic output.
     """
 
-    __slots__ = ("dim", "rays", "max_cones")
+    __slots__ = ("dim", "rays", "max_cones", "_census")
 
     def __init__(self, dim: int, rays: Sequence[Ray], max_cones):
         self.dim = dim
         self.rays = tuple(rays)
         cones = [frozenset(c) for c in max_cones]
         self.max_cones = tuple(sorted(cones, key=lambda c: sorted(c)))
+        self._census: Optional[Tuple[int, ...]] = None
         for ray in self.rays:
             if len(ray.vector) != dim:
                 raise FanError("ray dimension mismatch")
@@ -94,10 +94,13 @@ class StackyFan:
         return frozenset(seen)
 
     def census(self) -> Tuple[int, ...]:
-        counts = [0] * (self.dim + 1)
-        for cone in self.all_cones():
-            counts[len(cone)] += 1
-        return tuple(counts)
+        """Number of cones of each dimension, counted on the first call only."""
+        if self._census is None:
+            counts = [0] * (self.dim + 1)
+            for cone in self.all_cones():
+                counts[len(cone)] += 1
+            self._census = tuple(counts)
+        return self._census
 
     def facet_opposites(self) -> Dict[FrozenSet[int], List[int]]:
         """Map each facet (a maximal cone minus one ray) to its opposite rays.
@@ -248,9 +251,6 @@ class StackyFan:
             ],
             "max_cones": [sorted(c) for c in self.max_cones],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 def projective_fan(n: int) -> StackyFan:

@@ -64,12 +64,6 @@ class MultiPoly:
     def var(name: str) -> "MultiPoly":
         return MultiPoly((name,), {(1,): 1})
 
-    @staticmethod
-    def monomial(powers: Mapping[str, int], coeff: int = 1) -> "MultiPoly":
-        names = tuple(powers)
-        exp = tuple(powers[n] for n in names)
-        return MultiPoly(names, {exp: coeff})
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -301,12 +295,6 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        order = min(self.order, other.order)
-        return TruncSeries(
-            order, [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)]
-        )
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         order = min(self.order, other.order)

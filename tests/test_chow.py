@@ -7,6 +7,7 @@ from loghilb.chow import (
     GradedPresentation,
     PresentationError,
     compare_presentations,
+    eps_level,
     eps_name,
     graded_group,
     graded_groups,
@@ -281,3 +282,9 @@ def test_cycle_class_single_bubble():
 def test_cycle_class_total_mismatch():
     with pytest.raises(PresentationError):
         stratum_cycle_class(parse_profile("1;(1)"), 5)
+
+
+def test_eps_level_inverts_eps_name():
+    for j in range(13):
+        for r in range(1, 4):
+            assert eps_level(eps_name(j, r)) == j

@@ -13,6 +13,7 @@ from loghilb.cli import (
     main,
 )
 from loghilb.fan import StackyFan
+from loghilb.poly import ZERO, TruncSeries
 from test_fan import pentagram_fan
 
 
@@ -192,7 +193,7 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
 def test_motive_single_marking(capsys):
     code, out, _ = run(capsys, "motive", "--mode", "motivic-p1", "--ell", "1", "--N", "6")
     assert code == EXIT_OK
-    assert "all_verified: True" in out
+    assert "'strata_sum_matches_series': True" in out
     assert "L^2 + 2*L + 1" in out
 
 
@@ -221,7 +222,7 @@ def test_strata_listing(capsys):
     rows = [l for l in out.splitlines() if l.startswith(("0;", "1;", "2;"))]
     assert len(rows) == 4
     assert "total: L^2 + 2*L + 1" in out
-    assert "total_matches_series: True" in out
+    assert "checks: {'total_matches_series': True}" in out
 
 
 def test_strata_trivial_case(capsys):
@@ -256,3 +257,73 @@ def test_csv_output(capsys):
 
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_USAGE, EXIT_CHECK_FAILED) == (0, 2, 3)
+
+
+# every command reports its verdicts in one ``checks`` map, and the exit
+# code is 3 exactly when one of them is false
+
+SMALL_RUNS = {
+    ("fan", "--n", "3", "--i", "1"): {
+        "complete", "intersections_are_faces", "motive_palindromic"
+    },
+    ("chow", "sr", "--n", "2", "--i", "1", "--groups"): set(),
+    ("chow", "thmD", "--n", "3", "--i", "1", "--compare-sr"): {"sr_comparison"},
+    ("chow", "keel", "--n", "3", "--i", "1"): {"matches_direct_presentation"},
+    ("chow", "compare", "--n", "3", "--i", "1"): {"sr_comparison"},
+    ("motive", "--ell", "1", "--N", "4"): {"strata_sum_matches_series"},
+    ("strata", "--n", "3", "--ell", "2"): {"total_matches_series"},
+    ("strata", "--n", "5", "--ell", "3", "--profile", "1;(1,2);();(1)"): set(),
+}
+
+
+def run_json(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    checks = doc["checks"]
+    assert doc["schema_version"] == SCHEMA_VERSION == 2
+    assert isinstance(checks, dict)
+    assert all(type(v) is bool for v in checks.values())
+    assert code == (EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED)
+    return code, doc
+
+
+@pytest.mark.parametrize("argv", list(SMALL_RUNS), ids=" ".join)
+def test_every_command_reports_checks(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert set(doc["checks"]) == SMALL_RUNS[argv]
+    assert not {"all_verified", "total_matches_series"} & set(doc)
+
+
+def test_failed_strata_sum_exits_with_check_failed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "strata_sum", lambda n, ell, mode: ZERO)
+    code, doc = run_json(capsys, "motive", "--ell", "1", "--N", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert doc["checks"] == {"strata_sum_matches_series": False}
+    assert [row["verified"] for row in doc["rows"]] == [False] * 4
+
+
+def test_failed_strata_total_exits_with_check_failed(capsys, monkeypatch):
+    closed_form = cli.closed_form
+
+    def off_by_one(mode, ell, order):
+        series = closed_form(mode, ell, order)
+        return TruncSeries(series.order, [c + 1 for c in series.coeffs])
+
+    monkeypatch.setattr(cli, "closed_form", off_by_one)
+    code, doc = run_json(capsys, "strata", "--n", "3", "--ell", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert doc["checks"] == {"total_matches_series": False}
+    assert doc["total"] == "L^3 + 5*L^2 + 5*L + 1"
+
+
+@pytest.mark.parametrize("subcommand", [("compare",), ("thmD", "--compare-sr")])
+def test_failed_sr_comparison_exits_with_check_failed(capsys, monkeypatch, subcommand):
+    compare = cli.compare_presentations
+    monkeypatch.setattr(
+        cli, "compare_presentations", lambda *a: {**compare(*a), "pass": False}
+    )
+    argv = ("chow", subcommand[0], "--n", "2", "--i", "1", *subcommand[1:])
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_CHECK_FAILED
+    assert doc["checks"] == {"sr_comparison": False}

@@ -47,6 +47,20 @@ def test_projective_fan_basics():
     assert fan.check_intersections_are_faces()
 
 
+def test_census_counts_the_cones_once(monkeypatch):
+    fan = hilb_fan(3, 1)
+    calls = []
+    all_cones = StackyFan.all_cones
+
+    def counted(self):
+        calls.append(self)
+        return all_cones(self)
+
+    monkeypatch.setattr(StackyFan, "all_cones", counted)
+    assert fan.census() == fan.census() == expected_product_census(3)
+    assert calls == [fan]
+
+
 def test_max_cones_must_be_full_dimensional():
     rays = [Ray("a", (1, 0)), Ray("b", (0, 1)), Ray("c", (-1, -1))]
     with pytest.raises(FanError):
