@@ -10,8 +10,8 @@ of points on the line are implemented:
   shot from the explicit Q-polynomial relation families or step by step
   by adjoining one exceptional-divisor generator per weighted blow-up.
 
-Graded pieces are computed by brute monomial enumeration and Smith
-normal form over the integers; torsion is reported, never dropped.
+Graded pieces are computed by monomial enumeration and integer invariant
+factors (``linalg.invariant_factors``); torsion is reported, never dropped.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def sr_presentation(fan: StackyFan) -> GradedPresentation:
 
 
 # ---------------------------------------------------------------------------
-# graded pieces by monomial enumeration + Smith normal form
+# graded pieces by monomial enumeration + invariant factors
 
 
 def monomial_exponents(nvars: int, degree: int) -> List[Tuple[int, ...]]:

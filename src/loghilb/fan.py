@@ -12,10 +12,10 @@ demand.  Fans are immutable values and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .linalg import det, rational_solve
+from .linalg import det
 from .poly import MultiPoly
 
 Vector = Tuple[int, ...]
@@ -25,15 +25,8 @@ class FanError(ValueError):
     """Invalid fan input or failed fan invariant."""
 
 
-def _vector_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def is_primitive(v: Sequence[int]) -> bool:
-    return _vector_gcd(v) == 1
+    return gcd(*v) == 1
 
 
 @dataclass(frozen=True)
@@ -118,16 +111,19 @@ class StackyFan:
         """Every codimension-1 face must bound exactly two maximal cones."""
         return all(len(o) == 2 for o in self.facet_opposites().values())
 
-    def cone_coordinates(self, cone, v: Sequence[int]):
-        """Rational coordinates of v in the ray basis of a full cone's span."""
+    def _coordinate_signs(self, cone, v: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """A full cone's sorted ray indices and, per ray, det(rows with that ray
+        replaced by v) * det(rows): by Cramer, the sign of v's coordinate."""
         idx = sorted(cone)
-        cols = [self.rays[i].vector for i in idx]
-        a = [[cols[j][k] for j in range(len(idx))] for k in range(self.dim)]
-        return idx, rational_solve(a, list(v))
+        rows = [list(self.rays[i].vector) for i in idx]
+        d = det(rows)
+        return idx, [
+            det(rows[:j] + [list(v)] + rows[j + 1:]) * d for j in range(len(rows))
+        ]
 
     def contains_in_cone(self, cone, v: Sequence[int]) -> bool:
-        _, coords = self.cone_coordinates(cone, v)
-        return all(c >= 0 for c in coords)
+        _, signs = self._coordinate_signs(cone, v)
+        return all(s >= 0 for s in signs)
 
     def _cone_name(self, cone) -> str:
         return "{" + ", ".join(self.labels(cone)) + "}"
@@ -163,8 +159,8 @@ class StackyFan:
         every facet test.
 
         Cost: two determinants per facet and (cones - 1) cone-membership
-        solves, against the O(cones^2) solves of the test oracle
-        ``check_intersections_are_faces``.
+        tests of dim + 1 determinants each, against the O(cones^2) membership
+        tests of the test oracle ``check_intersections_are_faces``.
         """
         if not self.max_cones:
             return "there are no maximal cones"
@@ -199,7 +195,7 @@ class StackyFan:
         For two maximal simplicial cones this verifies that every lattice
         point expressible with non-negative coordinates in both cones is
         supported on the common ray set.  It runs O(cones^2) cone-membership
-        solves and is the test oracle for ``fan_defect``, which the CLI uses.
+        tests and is the test oracle for ``fan_defect``, which the CLI uses.
         """
         faces = self.all_cones()
         for a in self.max_cones:
@@ -274,9 +270,9 @@ def minimal_cone(fan: StackyFan, v: Sequence[int]) -> FrozenSet[int]:
     if all(x == 0 for x in vv):
         raise FanError("zero vector has no minimal cone")
     for cone in fan.max_cones:
-        idx, coords = fan.cone_coordinates(cone, vv)
-        if all(c >= 0 for c in coords):
-            return frozenset(i for i, c in zip(idx, coords) if c > 0)
+        idx, signs = fan._coordinate_signs(cone, vv)
+        if all(s >= 0 for s in signs):
+            return frozenset(i for i, s in zip(idx, signs) if s > 0)
     raise FanError(f"vector {vv} lies outside the support of the fan")
 
 
@@ -345,7 +341,7 @@ def insert_weighted_ray(
     idx = sorted(cone)
     if not idx:
         raise FanError("cannot blow up the origin cone")
-    if frozenset(idx) not in fan.all_cones():
+    if not any(frozenset(idx) <= c for c in fan.max_cones):
         raise FanError("blow-up center is not a cone of the fan")
     if len(weights) != len(idx) or any(w < 1 for w in weights):
         raise FanError("weights must be positive integers, one per ray")
@@ -361,10 +357,9 @@ def insert_weighted_ray(
 def fan_motive(fan: StackyFan, lefschetz: str = "L") -> MultiPoly:
     """Class of the toric stack in the Grothendieck ring, as a polynomial in L.
 
-    Each cone of dimension d contributes a torus factor (L-1)^(n-d).
+    Each cone of dimension d contributes a torus factor (L-1)^(n-d): one torus
+    orbit per cone, so this holds for any fan, complete or not.
     """
-    if not fan.is_complete():
-        raise FanError("motive of an incomplete fan is not computed here")
     lm1 = MultiPoly.var(lefschetz) - 1
     total = MultiPoly.const(0)
     for count, dim in zip(fan.census(), range(fan.dim + 1)):
@@ -425,23 +420,3 @@ def hilb_fan_two_sided(n: int, i_zero: int, i_inf: int) -> StackyFan:
     for j in range(n, max(i_inf, 1), -1):
         fan = star_subdivide(fan, rho_inf_vector(n, j), label=f"rho_inf_{j}")
     return fan
-
-
-def product_p1_fan(n: int) -> StackyFan:
-    """The fan of the n-fold product of the projective line (census oracle)."""
-    rays = []
-    for k in range(n):
-        plus = tuple(1 if j == k else 0 for j in range(n))
-        minus = tuple(-1 if j == k else 0 for j in range(n))
-        rays.append(Ray(f"plus_{k + 1}", plus))
-        rays.append(Ray(f"minus_{k + 1}", minus))
-    cones = []
-    for mask in range(1 << n):
-        cones.append(
-            frozenset(2 * k + (mask >> k & 1) for k in range(n))
-        )
-    return StackyFan(n, rays, cones)
-
-
-def expected_product_census(n: int) -> Tuple[int, ...]:
-    return tuple(comb(n, k) * 2 ** k for k in range(n + 1))

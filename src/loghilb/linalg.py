@@ -6,8 +6,8 @@ precision).  There is one integer row-elimination kernel,
 without a transform matrix.  Membership in the integer row span reduces a
 vector against that form, and invariant factors come from alternating
 Hermite forms of a matrix and its transpose until each row has a single
-nonzero entry (Kannan–Bachem).  Square systems are solved by Cramer's rule on the
-fraction-free Bareiss determinant.  Naive Euclidean pivoting is entirely
+nonzero entry (Kannan–Bachem).  ``rational_solve`` (Cramer's rule over
+``Fraction``) is only a test oracle.  Naive Euclidean pivoting is entirely
 adequate at the matrix sizes that occur here (a few hundred rows/columns).
 """
 
@@ -147,7 +147,9 @@ def in_row_span_z(m, target: Sequence[int]) -> bool:
 def rational_solve(a, b: Sequence[int]) -> List[Fraction]:
     """Solve the square integer system A*x = b exactly by Cramer's rule.
 
-    Raises ValueError when A is singular or the shapes do not match.
+    Raises ValueError when A is singular or the shapes do not match.  Test
+    oracle for ``StackyFan.contains_in_cone`` and ``fan.minimal_cone``; it
+    stays in ``src/`` because ``bench/spans.py`` traces it by name.
     """
     rows = _as_lists(a)
     rhs = list(map(int, b))

@@ -171,13 +171,6 @@ class MultiPoly:
             total = total + term
         return total
 
-    def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        """Rename variables (injective on the variables present)."""
-        new = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new)) != len(new):
-            raise ValueError("variable renaming must stay injective")
-        return MultiPoly(new, self.terms)
-
     def coefficients_in(self, name: str) -> Dict[int, "MultiPoly"]:
         """Split into coefficients of powers of one variable."""
         if name not in self.vars:
@@ -260,12 +253,6 @@ class TruncSeries:
             raise ValueError("need exactly order+1 coefficients")
         self.order = order
         self.coeffs = tuple(MultiPoly._coerce(c) for c in coeffs)
-
-    @staticmethod
-    def from_poly(p: MultiPoly, order: int, tvar: str = "t") -> "TruncSeries":
-        by_power = p.coefficients_in(tvar)
-        coeffs = [by_power.get(k, ZERO) for k in range(order + 1)]
-        return TruncSeries(order, coeffs)
 
     @staticmethod
     def from_rational(

@@ -12,7 +12,7 @@ from loghilb.cli import (
     SCHEMA_VERSION,
     main,
 )
-from loghilb.fan import StackyFan
+from loghilb.fan import StackyFan, hilb_fan
 from loghilb.poly import ZERO, TruncSeries
 from test_fan import pentagram_fan
 
@@ -85,6 +85,20 @@ def test_fan_failed_check_names_the_cone(capsys, monkeypatch):
     assert checks["complete"] is True
     assert "cone {p0, p2}" in err
     assert run(capsys, *argv) == (code, out, err)
+
+
+def test_incomplete_fan_reports_its_checks(capsys, monkeypatch):
+    base = hilb_fan(2, 1)
+    fan = StackyFan(2, base.rays, base.max_cones[1:])
+    monkeypatch.setattr(cli, "hilb_fan", lambda n, i: fan)
+    code, out, err = run(capsys, "fan", "--n", "2", "--i", "1", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["checks"] == {
+        "complete": False,
+        "intersections_are_faces": False,
+        "motive_palindromic": False,
+    }
+    assert "facet {sigma_1} bounds 1 of the maximal cones, not 2" in err
 
 
 def test_fan_motive_palindromic_check(capsys):

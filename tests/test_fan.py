@@ -1,13 +1,17 @@
 """Tests for stacky fans, star subdivision and fan motives."""
 
-import pytest
+from functools import lru_cache
+from math import comb
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from loghilb import linalg
 from loghilb.fan import (
     FanError,
     Ray,
     StackyFan,
     apply_matrix,
-    expected_product_census,
     fan_motive,
     hilb_fan,
     hilb_fan_two_sided,
@@ -16,7 +20,6 @@ from loghilb.fan import (
     is_palindromic,
     is_primitive,
     minimal_cone,
-    product_p1_fan,
     projective_fan,
     rho_inf_vector,
     rho_vector,
@@ -165,6 +168,10 @@ def test_insert_weighted_ray():
         insert_weighted_ray(fan, cone, (2, 2))  # (2,2) is imprimitive
     with pytest.raises(FanError):
         insert_weighted_ray(fan, cone, (1,))
+    # the rho_2 subdivision split the cone {sigma_1, sigma_2}
+    split = hilb_fan(2, 1)
+    with pytest.raises(FanError, match="not a cone"):
+        insert_weighted_ray(split, {0, 1}, (1, 1))
 
 
 def test_involution_is_an_involution():
@@ -233,6 +240,24 @@ def pentagram_fan() -> StackyFan:
     vectors = [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)]
     rays = [Ray(f"p{k}", v) for k, v in enumerate(vectors)]
     return StackyFan(2, rays, [frozenset({k, (k + 2) % 5}) for k in range(5)])
+
+
+def product_p1_fan(n: int) -> StackyFan:
+    """The fan of the n-fold product of the projective line (census oracle)."""
+    rays = []
+    for k in range(n):
+        plus = tuple(1 if j == k else 0 for j in range(n))
+        minus = tuple(-1 if j == k else 0 for j in range(n))
+        rays.append(Ray(f"plus_{k + 1}", plus))
+        rays.append(Ray(f"minus_{k + 1}", minus))
+    cones = [
+        frozenset(2 * k + (mask >> k & 1) for k in range(n)) for mask in range(1 << n)
+    ]
+    return StackyFan(n, rays, cones)
+
+
+def expected_product_census(n: int):
+    return tuple(comb(n, k) * 2 ** k for k in range(n + 1))
 
 
 def with_ray(fan: StackyFan, label: str, vector) -> StackyFan:
@@ -314,3 +339,66 @@ def test_is_palindromic():
     for n in range(1, 5):
         for fan in oracle_fans(n):
             assert is_palindromic(fan_motive(fan))
+
+
+# -- integer cone membership against the Fraction oracle ------------------
+
+
+@lru_cache(maxsize=None)
+def small_hilb_fans():
+    fans = []
+    for n in range(1, 5):
+        for i in range(n + 1):
+            fans.append(hilb_fan(n, i))
+            fans.extend(hilb_fan_two_sided(n, i, j) for j in range(n + 1))
+    return fans
+
+
+def fraction_coordinates(fan, cone, v):
+    idx = sorted(cone)
+    a = [[fan.rays[i].vector[k] for i in idx] for k in range(fan.dim)]
+    return idx, linalg.rational_solve(a, list(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_membership_matches_fraction_oracle(data):
+    fan = data.draw(st.sampled_from(small_hilb_fans()))
+    cone = data.draw(st.sampled_from(fan.max_cones))
+    if data.draw(st.booleans()):
+        v = data.draw(
+            st.lists(st.integers(-6, 6), min_size=fan.dim, max_size=fan.dim)
+        )
+    else:
+        # non-negative combinations of the cone's own rays hit its faces
+        weights = data.draw(
+            st.lists(st.integers(0, 3), min_size=fan.dim, max_size=fan.dim)
+        )
+        v = [
+            sum(w * fan.rays[i].vector[k] for w, i in zip(weights, sorted(cone)))
+            for k in range(fan.dim)
+        ]
+    _, coords = fraction_coordinates(fan, cone, v)
+    assert fan.contains_in_cone(cone, v) == all(c >= 0 for c in coords)
+    if not any(v):
+        return
+    for first in fan.max_cones:
+        idx, coords = fraction_coordinates(fan, first, v)
+        if all(c >= 0 for c in coords):
+            break
+    assert minimal_cone(fan, v) == frozenset(i for i, c in zip(idx, coords) if c > 0)
+
+
+def test_fan_checks_use_no_fractions(monkeypatch):
+    def no_fractions(*args):
+        raise AssertionError("Fraction arithmetic used")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fractions)
+    for fan in (hilb_fan(4, 1), hilb_fan_two_sided(4, 1, 1)):
+        assert fan.fan_defect() is None
+        assert fan.labels(minimal_cone(fan, (1, 2, 3, 4))) == ("rho_4",)
+        for cone in fan.max_cones:
+            # a sum of rays lies in the relative interior of the face they span
+            for face in (cone, frozenset(sorted(cone)[:2])):
+                v = [sum(fan.rays[i].vector[k] for i in face) for k in range(4)]
+                assert minimal_cone(fan, v) == face
