@@ -10,18 +10,24 @@ of points on the line are implemented:
   shot from the explicit Q-polynomial relation families or step by step
   by adjoining one exceptional-divisor generator per weighted blow-up.
 
-Graded pieces are computed by monomial enumeration and integer invariant
-factors (``linalg.invariant_factors``); torsion is reported, never dropped.
+Graded pieces and ideal membership are computed after the degree-1
+relations with a unit coefficient are solved (``_solved``), an exact
+isomorphism of graded Z-algebras; the relation matrix of each degree is then
+brought to Hermite form once (``_echelon``), and graded pieces come from its
+integer invariant factors (``linalg.invariant_factors``).  Torsion is
+reported, never dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .fan import StackyFan
-from .linalg import in_row_span_z, invariant_factors
+from .linalg import hermite_normal_form, in_row_span_z, invariant_factors
 from .poly import MultiPoly, ZERO
 from .strata import StratumProfile
 
@@ -245,16 +251,89 @@ def _relation_rows(
     return basis, rows
 
 
+def _substitute(p: MultiPoly, name: str, image: MultiPoly) -> MultiPoly:
+    if name not in p.vars:
+        return p
+    return p.specialize({v: image if v == name else MultiPoly.var(v) for v in p.vars})
+
+
+@functools.lru_cache(maxsize=128)
+def _solved(
+    pres: GradedPresentation,
+) -> Tuple[GradedPresentation, Mapping[str, MultiPoly]]:
+    """The presentation with its unit-coefficient linear relations solved.
+
+    While some degree-1 relation has a variable with coefficient +-1, that
+    variable is substituted away in every other relation and in the
+    substitution so far; relations that become zero are dropped.  A linear
+    relation with no unit coefficient stays a relation.  Solving a relation
+    +-x + rest = 0 for x is an isomorphism of graded Z-algebras (for the SR
+    ring, the Jurkiewicz-Danilov presentation with its linear forms solved),
+    so graded pieces, torsion included, and ideal membership are unchanged.
+
+    Returns the presentation over Z on the surviving variables, the base
+    ring's relations included, and the map {eliminated variable: image}.
+    """
+    variables = list(pres.variables())
+    relations = []
+    for rel in pres.all_relations():
+        if not rel.is_homogeneous():
+            raise PresentationError(f"inhomogeneous relation {rel.to_string()!r}")
+        if not rel.is_zero():
+            relations.append(rel)
+    substitution: Dict[str, MultiPoly] = {}
+    while True:
+        pivot = next(
+            (
+                (k, rel.vars[exp.index(1)], c)
+                for k, rel in enumerate(relations)
+                if rel.degree() == 1
+                for exp, c in rel.terms.items()
+                if abs(c) == 1 and rel.vars[exp.index(1)] in variables
+            ),
+            None,
+        )
+        if pivot is None:
+            break
+        k, name, c = pivot
+        # rel = c*x + rest with c = +-1, so x = -c * rest = x - c * rel
+        image = MultiPoly.var(name) - c * relations.pop(k)
+        relations = [
+            r for r in (_substitute(r, name, image) for r in relations) if not r.is_zero()
+        ]
+        substitution = {v: _substitute(p, name, image) for v, p in substitution.items()}
+        substitution[name] = image
+        variables.remove(name)
+    reduced = GradedPresentation(
+        BaseRing.integers(), tuple(variables), tuple(relations), pres.top_degree
+    )
+    return reduced, MappingProxyType(substitution)
+
+
+@functools.lru_cache(maxsize=128)
+def _echelon(
+    pres: GradedPresentation, degree: int
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+    """Monomial basis of the solved presentation in one degree, and the
+    nonzero rows of the Hermite form of its relation matrix."""
+    basis, rows = _relation_rows(_solved(pres)[0], degree)
+    echelon = tuple(tuple(row) for row in hermite_normal_form(rows) if any(row))
+    return tuple(basis), echelon
+
+
 def graded_group(pres: GradedPresentation, degree: int) -> GradedPiece:
-    """Free rank and torsion of one graded piece of the presented ring."""
+    """Free rank and torsion of one graded piece of the presented ring.
+
+    Computed on the presentation with its unit-coefficient linear relations
+    solved (``_solved``), which has the same graded pieces; torsion is
+    always reported.
+    """
     if pres.base.kind == "symbolic_curve":
         raise PresentationError("no graded computation in symbolic mode")
     if not 0 <= degree <= pres.top_degree:
         raise PresentationError("degree out of range")
-    basis, rows = _relation_rows(pres, degree)
-    if not rows:
-        return GradedPiece(degree, len(basis))
-    factors = invariant_factors(rows)
+    basis, rows = _echelon(pres, degree)
+    factors = invariant_factors(rows) if rows else []
     rank = len(basis) - len(factors)
     torsion = tuple(f for f in factors if f > 1)
     return GradedPiece(degree, rank, torsion)
@@ -268,7 +347,10 @@ def ideal_member(pres: GradedPresentation, poly: MultiPoly) -> bool:
     """Is a homogeneous polynomial in the ideal, checked at its own degree?
 
     Degrees above the top degree are automatically members: every class
-    there vanishes, so the degree bound makes the check complete.
+    there vanishes, so the degree bound makes the check complete.  The
+    polynomial is pushed through the substitution of ``_solved`` and tested
+    against the Hermite rows of that degree, which are computed once per
+    presentation and degree.
     """
     if poly.is_zero():
         return True
@@ -277,11 +359,12 @@ def ideal_member(pres: GradedPresentation, poly: MultiPoly) -> bool:
     degree = poly.degree()
     if degree > pres.top_degree:
         return True
-    variables = pres.variables()
-    basis, rows = _relation_rows(pres, degree)
+    reduced, substitution = _solved(pres)
+    image = poly.specialize({v: substitution.get(v, MultiPoly.var(v)) for v in poly.vars})
+    basis, rows = _echelon(pres, degree)
     index = {exp: i for i, exp in enumerate(basis)}
     target = [0] * len(basis)
-    for exp, c in _embed_terms(poly, variables).items():
+    for exp, c in _embed_terms(image, reduced.variables()).items():
         target[index[exp]] = c
     return in_row_span_z(rows, target)
 

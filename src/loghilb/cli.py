@@ -60,9 +60,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
-# caps chosen from measured runtimes on a laptop-class machine
+# caps from single runs on a shared 2-core machine, Python 3.11: fan --n 6 takes
+# 0.24 s; every chow sr --groups, thmD --compare-sr, keel --groups and compare
+# run at n = 6 and every i takes at most 6.1 s (compare --n 6 --i 0); motive
+# --ell 3 --N 12 takes 29 s
 MAX_N_FAN = 6
-MAX_N_GROUPS = 4
+MAX_N_GROUPS = 6
 MAX_N_MOTIVE = 12
 
 

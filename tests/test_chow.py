@@ -1,11 +1,18 @@
 """Tests for the Chow-ring presentations and their graded groups."""
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from loghilb import chow, linalg
 from loghilb.chow import (
     BaseRing,
+    GradedPiece,
     GradedPresentation,
     PresentationError,
+    _relation_rows,
+    _solved,
     compare_presentations,
     eps_level,
     eps_name,
@@ -22,6 +29,7 @@ from loghilb.chow import (
     thmD_presentation,
 )
 from loghilb.fan import fan_motive, hilb_fan
+from loghilb.linalg import in_row_span_z, invariant_factors
 from loghilb.poly import MultiPoly, ZERO
 from loghilb.strata import parse_profile
 
@@ -151,7 +159,7 @@ def test_sr_linear_relations_from_ray_coordinates(n):
         } or all(ideal_member(pres, r) for r in expected)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_sr_ranks_equal_motive_coefficients(n):
     for i in range(1, n + 1):
         fan = hilb_fan(n, i)
@@ -197,7 +205,7 @@ def test_level_zero_equals_level_one():
     assert a.relations == b.relations
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
 def test_iterated_keel_matches_direct_presentation(n):
     base = BaseRing.p1(n)
     for i in range(0, n + 1):
@@ -210,12 +218,16 @@ def test_iterated_keel_matches_direct_presentation(n):
 def sr_generator_map(pres):
     gen_map = {"H": TAU}
     for name in pres.generators:
-        level = int(name[3:].split("_")[0])
-        gen_map[name] = rho(level)
+        gen_map[name] = rho(eps_level(name))
     return gen_map
 
 
-@pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "n,i",
+    [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+    + [(5, i) for i in range(1, 6)]
+    + [(6, 1)],
+)
 def test_blowup_presentation_matches_sr(n, i):
     pres = thmD_presentation(n, [i], BaseRing.p1(n))
     sr = sr_presentation(hilb_fan(n, i))
@@ -288,3 +300,135 @@ def test_eps_level_inverts_eps_name():
     for j in range(13):
         for r in range(1, 4):
             assert eps_level(eps_name(j, r)) == j
+
+
+# ---------------------------------------------------------------------------
+# solved linear relations against the unreduced oracle
+
+
+@pytest.fixture
+def fresh_caches():
+    chow._solved.cache_clear()
+    chow._echelon.cache_clear()
+    yield
+    chow._solved.cache_clear()
+    chow._echelon.cache_clear()
+
+
+def oracle_piece(pres, degree):
+    """Graded piece from the unreduced relation matrix."""
+    basis, rows = _relation_rows(pres, degree)
+    factors = invariant_factors(rows) if rows else []
+    torsion = tuple(f for f in factors if f > 1)
+    return GradedPiece(degree, len(basis) - len(factors), torsion)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_graded_groups_match_unreduced_oracle(n):
+    base = BaseRing.p1(n)
+    presentations = [sr_presentation(hilb_fan(n, i)) for i in range(1, n + 1)]
+    for i in range(0, n + 1):
+        presentations += [thmD_presentation(n, [i], base), iterated_keel(n, i, base)]
+    for pres in presentations:
+        for d in range(n + 1):
+            assert graded_group(pres, d) == oracle_piece(pres, d)
+
+
+@st.composite
+def membership_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    i = draw(st.integers(min_value=1, max_value=n))
+    sr = sr_presentation(hilb_fan(n, i))
+    blowup = thmD_presentation(n, [i], BaseRing.p1(n))
+    gen_map = sr_generator_map(blowup)
+    images = [
+        rel.specialize({v: gen_map[v] for v in rel.vars})
+        for rel in blowup.relations
+        if rel.degree() <= n
+    ]
+    image = draw(st.sampled_from(images)) if images else ZERO
+    degree = image.degree() if not image.is_zero() else draw(
+        st.integers(min_value=0, max_value=n)
+    )
+    variables = sr.variables()
+    basis = chow.monomial_exponents(len(variables), degree)
+    coefficients = draw(
+        st.lists(
+            st.sampled_from((0, 0, 0, 1, -1, 2, 3)),
+            min_size=len(basis),
+            max_size=len(basis),
+        )
+    )
+    noise = MultiPoly(variables, dict(zip(basis, coefficients)))
+    scale = draw(st.integers(min_value=-2, max_value=2))
+    return sr, scale * image + noise
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_cases())
+def test_ideal_member_matches_unreduced_oracle(case):
+    pres, poly = case
+    if poly.is_zero():
+        assert ideal_member(pres, poly)
+        return
+    basis, rows = _relation_rows(pres, poly.degree())
+    index = {exp: k for k, exp in enumerate(basis)}
+    target = [0] * len(basis)
+    for exp, c in chow._embed_terms(poly, pres.variables()).items():
+        target[index[exp]] = c
+    assert ideal_member(pres, poly) == in_row_span_z(rows, target)
+
+
+X = MultiPoly.var("x")
+Y = MultiPoly.var("y")
+
+
+def test_linear_relation_without_unit_coefficient_stays():
+    pres = GradedPresentation(BaseRing.integers(), ("x", "y"), (2 * X + 4 * Y,), 1)
+    reduced, substitution = _solved(pres)
+    assert reduced.relations == (2 * X + 4 * Y,) and not substitution
+    assert graded_group(pres, 1) == GradedPiece(1, 1, (2,))
+
+
+def test_unit_linear_relation_is_solved():
+    pres = GradedPresentation(BaseRing.integers(), ("x", "y"), (X + 2 * Y,), 2)
+    reduced, substitution = _solved(pres)
+    assert reduced.generators == ("y",) and reduced.relations == ()
+    assert dict(substitution) == {"x": -2 * Y}
+    assert graded_group(pres, 1) == GradedPiece(1, 1)
+    assert ideal_member(pres, X * Y + 2 * Y ** 2)
+    assert not ideal_member(pres, X * Y)
+
+
+def test_relation_vanishing_after_substitution_is_dropped():
+    pres = GradedPresentation(BaseRing.integers(), ("x", "y"), (X - Y, X ** 2 - X * Y), 2)
+    reduced, _ = _solved(pres)
+    assert reduced.variables() == ("y",) and reduced.relations == ()
+    assert [g.rank for g in graded_groups(pres)] == [1, 1, 1]
+
+
+def test_ideals_equal_builds_each_matrix_once(monkeypatch, fresh_caches):
+    calls = Counter()
+
+    def counting(pres, degree):
+        calls[pres, degree] += 1
+        return _relation_rows(pres, degree)
+
+    monkeypatch.setattr(chow, "_relation_rows", counting)
+    base = BaseRing.p1(4)
+    assert ideals_equal(iterated_keel(4, 1, base), thmD_presentation(4, [1], base))
+    assert calls and max(calls.values()) == 1
+
+
+def test_graded_groups_eliminate_on_small_matrices(monkeypatch, fresh_caches):
+    widths = []
+    real = linalg.hermite_normal_form
+
+    def recording(m):
+        widths.append(len(m[0]) if m else 0)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "hermite_normal_form", recording)
+    monkeypatch.setattr(chow, "hermite_normal_form", recording, raising=False)
+    graded_groups(sr_presentation(hilb_fan(5, 4)))
+    assert widths and max(widths) <= 100

@@ -118,6 +118,15 @@ def test_fan_cap_and_force(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_chow_groups_cap(capsys, monkeypatch):
+    monkeypatch.delenv("LOGHILB_MAX_N", raising=False)
+    code, _, _ = run(capsys, "chow", "sr", "--n", "6", "--i", "6", "--groups")
+    assert code == EXIT_OK
+    code, _, err = run(capsys, "chow", "sr", "--n", "7", "--i", "7", "--groups")
+    assert code == EXIT_USAGE
+    assert "safety cap" in err
+
+
 def test_fan_invalid_params(capsys):
     code, _, err = run(capsys, "fan", "--n", "2", "--i", "5")
     assert code == EXIT_USAGE
