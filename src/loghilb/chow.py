@@ -251,10 +251,11 @@ def _relation_rows(
     return basis, rows
 
 
-def _substitute(p: MultiPoly, name: str, image: MultiPoly) -> MultiPoly:
-    if name not in p.vars:
+def _apply(p: MultiPoly, substitution: Mapping[str, MultiPoly]) -> MultiPoly:
+    """``p`` with each variable replaced by its image, if it has one."""
+    if not any(v in substitution for v in p.vars):
         return p
-    return p.specialize({v: image if v == name else MultiPoly.var(v) for v in p.vars})
+    return p.specialize({v: substitution.get(v, MultiPoly.var(v)) for v in p.vars})
 
 
 @functools.lru_cache(maxsize=128)
@@ -298,10 +299,9 @@ def _solved(
         k, name, c = pivot
         # rel = c*x + rest with c = +-1, so x = -c * rest = x - c * rel
         image = MultiPoly.var(name) - c * relations.pop(k)
-        relations = [
-            r for r in (_substitute(r, name, image) for r in relations) if not r.is_zero()
-        ]
-        substitution = {v: _substitute(p, name, image) for v, p in substitution.items()}
+        step = {name: image}
+        relations = [r for r in (_apply(r, step) for r in relations) if not r.is_zero()]
+        substitution = {v: _apply(p, step) for v, p in substitution.items()}
         substitution[name] = image
         variables.remove(name)
     reduced = GradedPresentation(
@@ -360,7 +360,7 @@ def ideal_member(pres: GradedPresentation, poly: MultiPoly) -> bool:
     if degree > pres.top_degree:
         return True
     reduced, substitution = _solved(pres)
-    image = poly.specialize({v: substitution.get(v, MultiPoly.var(v)) for v in poly.vars})
+    image = _apply(poly, substitution)
     basis, rows = _echelon(pres, degree)
     index = {exp: i for i, exp in enumerate(basis)}
     target = [0] * len(basis)

@@ -63,7 +63,10 @@ EXIT_CHECK_FAILED = 3
 # caps from single runs on a shared 2-core machine, Python 3.11: fan --n 6 takes
 # 0.24 s; every chow sr --groups, thmD --compare-sr, keel --groups and compare
 # run at n = 6 and every i takes at most 6.1 s (compare --n 6 --i 0); motive
-# --ell 3 --N 12 takes 29 s
+# --ell 3 --N 12 takes 29 s.  Graded groups are computed only over the p1 base,
+# which takes a single marking (sr and compare ignore --ell), so the chow cap on
+# n bounds every graded job; symbolic multi-marking presentations print without
+# graded groups (thmD --n 6 --ell 6 --curve symbolic takes 0.31 s).
 MAX_N_FAN = 6
 MAX_N_GROUPS = 6
 MAX_N_MOTIVE = 12

@@ -127,6 +127,24 @@ def test_chow_groups_cap(capsys, monkeypatch):
     assert "safety cap" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("thmD", "--ell", "2", "--groups"),
+        ("thmD", "--ell", "2", "--compare-sr"),
+        ("thmD", "--curve", "symbolic", "--ell", "2", "--groups"),
+        ("keel", "--ell", "2", "--groups"),
+    ],
+)
+def test_chow_graded_jobs_take_one_marking(capsys, monkeypatch, extra):
+    # the chow cap on n was measured with one marking; a multi-marking graded
+    # job at the cap would have far wider relation matrices
+    monkeypatch.delenv("LOGHILB_MAX_N", raising=False)
+    code, _, err = run(capsys, "chow", extra[0], "--n", "6", "--i", "0", *extra[1:])
+    assert code == EXIT_USAGE
+    assert "safety cap" not in err
+
+
 def test_fan_invalid_params(capsys):
     code, _, err = run(capsys, "fan", "--n", "2", "--i", "5")
     assert code == EXIT_USAGE
