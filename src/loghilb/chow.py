@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .fan import StackyFan
 from .linalg import hermite_normal_form, in_row_span_z, invariant_factors
@@ -36,8 +35,15 @@ class PresentationError(ValueError):
     """Invalid presentation input."""
 
 
-@dataclass(frozen=True)
-class BaseRing:
+# fields of the validating subclass below (see fan.Ray)
+class _BaseRingFields(NamedTuple):
+    kind: str
+    n: int = 0
+    hvar: str = "H"
+    markings: int = 1
+
+
+class BaseRing(_BaseRingFields):
     """Coefficient ring of a presentation.
 
     kind "integers": plain Z.
@@ -49,14 +55,13 @@ class BaseRing:
         symbolically and no graded computation is available.
     """
 
-    kind: str
-    n: int = 0
-    hvar: str = "H"
-    markings: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("integers", "trunc_hyperplane", "symbolic_curve"):
             raise PresentationError(f"unknown base ring kind {self.kind!r}")
+        return self
 
     @staticmethod
     def integers() -> "BaseRing":
@@ -88,20 +93,31 @@ class BaseRing:
         raise PresentationError("plain integer base has no symmetric-power maps")
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
-    """Generators of degree 1 over a base ring, modulo homogeneous relations."""
-
+# fields of the validating subclass below (see fan.Ray)
+class _GradedPresentationFields(NamedTuple):
     base: BaseRing
     generators: Tuple[str, ...]
     relations: Tuple[MultiPoly, ...]
     top_degree: int
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+
+class GradedPresentation(_GradedPresentationFields):
+    """Generators of degree 1 over a base ring, modulo homogeneous relations."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        base: BaseRing,
+        generators: Tuple[str, ...],
+        relations: Tuple[MultiPoly, ...],
+        top_degree: int,
+    ):
+        if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
-        if self.base.kind == "trunc_hyperplane" and self.base.hvar in self.generators:
+        if base.kind == "trunc_hyperplane" and base.hvar in generators:
             raise PresentationError("generator name clashes with the base variable")
+        return super().__new__(cls, base, generators, relations, top_degree)
 
     def variables(self) -> Tuple[str, ...]:
         """All degree-1 variables of the ambient graded ring."""
@@ -131,8 +147,7 @@ class GradedPresentation:
         }
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(NamedTuple):
     degree: int
     rank: int
     torsion: Tuple[int, ...] = ()

@@ -6,15 +6,14 @@ tables, each with JSON, CSV or aligned-text output.  Every command is
 deterministic and returns its payload and table rows to ``main``; the
 payload's ``checks`` map holds the verdict of each cross-check the command
 ran, by name.  ``main`` writes the output once and picks the exit code: 0 for
-success, 2 for invalid parameters, 3 when any entry of ``checks`` is false
-or a fan invariant fails.  Any other error is internal and exits 1 with a
-traceback.
+success, 2 for invalid parameters (an ``--output`` path that cannot be
+written included), 3 when any entry of ``checks`` is false or a fan
+invariant fails.  Any other error is internal and exits 1 with a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -108,6 +107,8 @@ def _emit(payload: dict, rows: List[dict], args: argparse.Namespace) -> None:
         payload["schema_version"] = SCHEMA_VERSION
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
+        import csv  # only this format needs it; keeps start-up short
+
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -128,8 +129,12 @@ def _emit(payload: dict, rows: List[dict], args: argparse.Namespace) -> None:
                 lines.append(f"{key}: {value}")
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise UsageError(f"cannot write {args.output}: {reason}") from exc
     else:
         sys.stdout.write(text)
 
@@ -147,6 +152,8 @@ def cmd_fan(args: argparse.Namespace) -> Result:
         raise UsageError("fan: need n >= 1")
     if not 0 <= args.i <= args.n:
         raise UsageError("fan: need 0 <= i <= n")
+    if args.markings == "0" and args.i_inf is not None:
+        raise UsageError("fan: --i-inf needs --markings 0+inf")
     checks: Dict[str, bool] = {}
     if args.markings == "0":
         fan = hilb_fan(args.n, args.i)
@@ -259,11 +266,36 @@ def cmd_chow(args: argparse.Namespace) -> Result:
 
 
 def _sr_comparison(n: int, i: int, pres) -> dict:
+    """Compare a blow-up presentation with the SR ring of ``hilb_fan(n, i)``;
+    on failure, name the culprit on stderr."""
     sr = sr_presentation(hilb_fan(n, i))
     gen_map = {"H": MultiPoly.var("tau")}
     for name in pres.generators:
         gen_map[name] = MultiPoly.var(f"rho_{eps_level(name)}")
-    return compare_presentations(pres, sr, gen_map)
+    report = compare_presentations(pres, sr, gen_map)
+    if not report["pass"]:
+        print(f"sr comparison failed: {_sr_culprit(pres, report)}", file=sys.stderr)
+    return report
+
+
+def _sr_culprit(pres, report: dict) -> str:
+    """The first relation outside the SR ideal, else the first degree whose
+    rank or torsion differs."""
+    for rel, entry in zip(pres.relations, report["relations"]):
+        if not entry["member"]:
+            return (
+                f"relation {entry['relation']} of degree {rel.degree()} "
+                "is not in the Stanley-Reisner ideal"
+            )
+    for entry in report["graded"]:
+        if not entry["match"]:
+            src, dst = entry["source"], entry["target"]
+            return (
+                f"degree {entry['degree']}: blow-up rank {src['rank']}, "
+                f"torsion {src['torsion']}; SR rank {dst['rank']}, "
+                f"torsion {dst['torsion']}"
+            )
+    return "the report names no relation or degree"
 
 
 def _chow_compare(args: argparse.Namespace) -> Result:
@@ -435,13 +467,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, rows = args.func(args)
+        _emit(payload, rows, args)
     except FanError as exc:
         print(f"fan invariant failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (UsageError, ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, rows, args)
     return EXIT_OK if all(payload["checks"].values()) else EXIT_CHECK_FAILED
 
 

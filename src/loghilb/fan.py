@@ -11,14 +11,15 @@ demand.  Fans are immutable values and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import det
 from .poly import MultiPoly
 
 Vector = Tuple[int, ...]
+FacetMap = Mapping[FrozenSet[int], Tuple[int, ...]]
 
 
 class FanError(ValueError):
@@ -29,16 +30,26 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*v) == 1
 
 
-@dataclass(frozen=True)
-class Ray:
+# Value classes are NamedTuples rather than dataclasses, which would import
+# ``dataclasses`` and ``inspect`` on every CLI start.  A NamedTuple cannot
+# override ``__new__``, so a thin subclass validates the fields; where fields
+# have defaults, it takes ``*args, **kwargs`` so the defaults are stated once.
+class _RayFields(NamedTuple):
     label: str
     vector: Vector
 
-    def __post_init__(self):
-        if all(x == 0 for x in self.vector):
-            raise FanError(f"ray {self.label} has zero vector")
-        if not is_primitive(self.vector):
-            raise FanError(f"ray {self.label} vector {self.vector} is not primitive")
+
+class Ray(_RayFields):
+    """A labelled primitive ray generator; an immutable value."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, vector: Vector):
+        if all(x == 0 for x in vector):
+            raise FanError(f"ray {label} has zero vector")
+        if not is_primitive(vector):
+            raise FanError(f"ray {label} vector {vector} is not primitive")
+        return super().__new__(cls, label, vector)
 
 
 class StackyFan:
@@ -48,7 +59,7 @@ class StackyFan:
     insertion order and cones are kept sorted for deterministic output.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "_census")
+    __slots__ = ("dim", "rays", "max_cones", "_census", "_facet_opposites")
 
     def __init__(self, dim: int, rays: Sequence[Ray], max_cones):
         self.dim = dim
@@ -56,6 +67,7 @@ class StackyFan:
         cones = [frozenset(c) for c in max_cones]
         self.max_cones = tuple(sorted(cones, key=lambda c: sorted(c)))
         self._census: Optional[Tuple[int, ...]] = None
+        self._facet_opposites: Optional[FacetMap] = None
         for ray in self.rays:
             if len(ray.vector) != dim:
                 raise FanError("ray dimension mismatch")
@@ -95,17 +107,23 @@ class StackyFan:
             self._census = tuple(counts)
         return self._census
 
-    def facet_opposites(self) -> Dict[FrozenSet[int], List[int]]:
-        """Map each facet (a maximal cone minus one ray) to its opposite rays.
+    def facet_opposites(self) -> FacetMap:
+        """Read-only map of each facet (a maximal cone minus one ray) to its
+        opposite rays, built on the first call only.
 
-        A facet's list holds the missing ray of every maximal cone that
+        A facet's tuple holds the missing ray of every maximal cone that
         contains it, in the order of ``max_cones``.
         """
+        if self._facet_opposites is None:
+            self._facet_opposites = self._build_facet_opposites()
+        return self._facet_opposites
+
+    def _build_facet_opposites(self) -> FacetMap:
         opposites: Dict[FrozenSet[int], List[int]] = {}
         for cone in self.max_cones:
             for i in sorted(cone):
                 opposites.setdefault(cone - {i}, []).append(i)
-        return opposites
+        return MappingProxyType({f: tuple(o) for f, o in opposites.items()})
 
     def is_complete(self) -> bool:
         """Every codimension-1 face must bound exactly two maximal cones."""

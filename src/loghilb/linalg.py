@@ -7,15 +7,18 @@ without a transform matrix.  Membership in the integer row span reduces a
 vector against that form, and invariant factors come from alternating
 Hermite forms of a matrix and its transpose until each row has a single
 nonzero entry (Kannan–Bachem).  ``rational_solve`` (Cramer's rule over
-``Fraction``) is only a test oracle.  Naive Euclidean pivoting is entirely
-adequate at the matrix sizes that occur here (a few hundred rows/columns).
+``Fraction``, imported on call) is only a test oracle.  Naive Euclidean
+pivoting is entirely adequate at the matrix sizes that occur here (a few
+hundred rows/columns).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Matrix = List[List[int]]
 
@@ -150,7 +153,11 @@ def rational_solve(a, b: Sequence[int]) -> List[Fraction]:
     Raises ValueError when A is singular or the shapes do not match.  Test
     oracle for ``StackyFan.contains_in_cone`` and ``fan.minimal_cone``; it
     stays in ``src/`` because ``bench/spans.py`` traces it by name.
+    ``Fraction`` is imported on call, so importing this module does not
+    load ``fractions`` and ``decimal``.
     """
+    from fractions import Fraction
+
     rows = _as_lists(a)
     rhs = list(map(int, b))
     if len(rhs) != len(rows):

@@ -13,9 +13,8 @@ and for its Euler, Hodge-Deligne and Poincare specializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .poly import MultiPoly, TruncSeries, ZERO
 
@@ -26,19 +25,24 @@ class ProfileError(ValueError):
     """Invalid stratum profile."""
 
 
-@dataclass(frozen=True)
-class StratumProfile:
-    """Interior length plus one composition of bubble supports per marking."""
-
+# fields of the validating subclass below (see fan.Ray)
+class _StratumProfileFields(NamedTuple):
     m: int
     nu: Tuple[Composition, ...]
 
-    def __post_init__(self):
-        if self.m < 0:
+
+class StratumProfile(_StratumProfileFields):
+    """Interior length plus one composition of bubble supports per marking."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, nu: Tuple[Composition, ...]):
+        if m < 0:
             raise ProfileError("interior length must be non-negative")
-        for comp in self.nu:
+        for comp in nu:
             if any(part < 1 for part in comp):
                 raise ProfileError("every bubble must support positive length")
+        return super().__new__(cls, m, nu)
 
     @property
     def total(self) -> int:
@@ -53,8 +57,13 @@ class StratumProfile:
         return f"{self.m};{comps}" if self.nu else str(self.m)
 
 
-@dataclass(frozen=True)
-class ZetaMode:
+# fields of the validating subclass below (see fan.Ray)
+class _ZetaModeFields(NamedTuple):
+    kind: str
+    g: int = 0
+
+
+class ZetaMode(_ZetaModeFields):
     """Coefficient ring selector for the generating functions.
 
     kind "motivic-p1" works in Z[L] and requires genus 0; "hodge",
@@ -62,16 +71,17 @@ class ZetaMode:
     any genus.
     """
 
-    kind: str
-    g: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("motivic-p1", "hodge", "poincare", "euler"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if self.g < 0:
             raise ValueError("genus must be non-negative")
         if self.kind == "motivic-p1" and self.g != 0:
             raise ValueError("the motivic mode is only available in genus 0")
+        return self
 
 
 MOTIVIC_P1 = ZetaMode("motivic-p1", 0)

@@ -58,6 +58,42 @@ def test_q_formally_zero():
     assert q_polynomial(0, 0, "t") == ZERO
 
 
+def test_base_ring_validation():
+    with pytest.raises(PresentationError):
+        BaseRing("bogus")
+    with pytest.raises(PresentationError):
+        BaseRing(kind="p1", n=2)
+    assert BaseRing.p1(3) == BaseRing("trunc_hyperplane", n=3)
+    assert BaseRing.p1(3) != BaseRing.p1(4)
+    assert repr(BaseRing.integers()) == (
+        "BaseRing(kind='integers', n=0, hvar='H', markings=1)"
+    )
+
+
+def test_presentation_validation():
+    with pytest.raises(PresentationError, match="duplicate"):
+        GradedPresentation(BaseRing.integers(), ("x", "x"), (), 1)
+    with pytest.raises(PresentationError, match="clashes"):
+        GradedPresentation(BaseRing.p1(2), ("e", "H"), (), 2)
+    with pytest.raises(PresentationError, match="clashes"):
+        GradedPresentation(
+            base=BaseRing.p1(2), generators=("H",), relations=(), top_degree=2
+        )
+    # H is an ordinary generator name over Z
+    assert GradedPresentation(BaseRing.integers(), ("H",), (), 1).generators == ("H",)
+    pres = GradedPresentation(BaseRing.p1(2), ("e",), (H * MultiPoly.var("e"),), 2)
+    with pytest.raises(AttributeError):
+        pres.top_degree = 3
+
+
+def test_graded_piece_is_a_value():
+    piece = GradedPiece(2, 3)
+    assert piece.torsion == ()
+    assert piece == GradedPiece(degree=2, rank=3, torsion=())
+    assert hash(piece) == hash(GradedPiece(2, 3, ()))
+    assert repr(piece) == "GradedPiece(degree=2, rank=3, torsion=())"
+
+
 def test_q_22():
     t, c = MultiPoly.var("t"), MultiPoly.var("H")
     assert q_polynomial(2, 2, "t") == 2 * t ** 2 + 3 * c * t + c ** 2
@@ -313,6 +349,18 @@ def fresh_caches():
     yield
     chow._solved.cache_clear()
     chow._echelon.cache_clear()
+
+
+def test_equal_presentations_hit_the_solved_cache(fresh_caches):
+    first = thmD_presentation(4, [1], BaseRing.p1(4))
+    second = thmD_presentation(4, [1], BaseRing.p1(4))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    _solved(first)
+    before = _solved.cache_info()
+    _solved(second)
+    after = _solved.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def oracle_piece(pres, degree):

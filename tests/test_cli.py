@@ -1,10 +1,13 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from loghilb import cli
+from loghilb import chow, cli
 from loghilb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -149,6 +152,39 @@ def test_fan_invalid_params(capsys):
     code, _, err = run(capsys, "fan", "--n", "2", "--i", "5")
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+def test_fan_i_inf_needs_two_markings(capsys):
+    code, out, err = run(capsys, "fan", "--n", "3", "--i", "1", "--i-inf", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: fan: --i-inf needs --markings 0+inf\n"
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "motive", "--N", "3", "--output", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.exists()
+
+
+def test_cli_import_leaves_optional_modules_unloaded():
+    # -S: the interpreter's site hooks may import anything; they are not ours
+    src = Path(__file__).resolve().parents[1] / "src"
+    lazy = ["dataclasses", "inspect", "fractions", "decimal", "csv"]
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import loghilb.cli; "
+        "print(*[m for m in sys.argv[2:] if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(src), *lazy],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == []
 
 
 def test_chow_sr_groups(capsys):
@@ -368,3 +404,43 @@ def test_failed_sr_comparison_exits_with_check_failed(capsys, monkeypatch, subco
     code, doc = run_json(capsys, *argv)
     assert code == EXIT_CHECK_FAILED
     assert doc["checks"] == {"sr_comparison": False}
+
+
+@pytest.mark.parametrize("subcommand", [("compare",), ("thmD", "--compare-sr")])
+def test_failed_sr_comparison_names_the_relation(capsys, monkeypatch, subcommand):
+    member = chow.ideal_member
+    monkeypatch.setattr(
+        chow,
+        "ideal_member",
+        lambda pres, poly: poly.degree() != 2 and member(pres, poly),
+    )
+    argv = ("chow", subcommand[0], "--n", "3", "--i", "1", *subcommand[1:])
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["checks"] == {"sr_comparison": False}
+    # the first relation of degree 2 in thmD_presentation(3, [1], p1)
+    assert err == (
+        "sr comparison failed: relation H*eps3_1 of degree 2 "
+        "is not in the Stanley-Reisner ideal\n"
+    )
+
+
+@pytest.mark.parametrize("subcommand", [("compare",), ("thmD", "--compare-sr")])
+def test_failed_sr_comparison_names_the_degree(capsys, monkeypatch, subcommand):
+    group = chow.graded_group
+
+    def wrong_sr_torsion(pres, degree):
+        piece = group(pres, degree)
+        if pres.base.kind == "integers" and degree == 3:
+            return piece._replace(torsion=(4,))
+        return piece
+
+    monkeypatch.setattr(chow, "graded_group", wrong_sr_torsion)
+    argv = ("chow", subcommand[0], "--n", "3", "--i", "1", *subcommand[1:])
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["checks"] == {"sr_comparison": False}
+    assert err == (
+        "sr comparison failed: degree 3: blow-up rank 1, torsion [2, 2]; "
+        "SR rank 1, torsion [4]\n"
+    )

@@ -1,12 +1,13 @@
 """Tests for stacky fans, star subdivision and fan motives."""
 
+import fractions
 from functools import lru_cache
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loghilb import linalg
+from loghilb import cli, linalg
 from loghilb.fan import (
     FanError,
     Ray,
@@ -34,7 +35,19 @@ def test_ray_validation():
         Ray("bad", (0, 0))
     with pytest.raises(FanError):
         Ray("bad", (2, 4))
+    with pytest.raises(FanError):
+        Ray(label="bad", vector=(0, -3))
     assert Ray("ok", (2, 3)).vector == (2, 3)
+
+
+def test_ray_is_an_immutable_value():
+    ray = Ray("ok", (2, 3))
+    assert ray == Ray(label="ok", vector=(2, 3))
+    assert hash(ray) == hash(Ray("ok", (2, 3)))
+    assert ray != Ray("ok", (3, 2))
+    assert repr(ray) == "Ray(label='ok', vector=(2, 3))"
+    with pytest.raises(AttributeError):
+        ray.label = "other"
 
 
 def test_is_primitive():
@@ -62,6 +75,30 @@ def test_census_counts_the_cones_once(monkeypatch):
     monkeypatch.setattr(StackyFan, "all_cones", counted)
     assert fan.census() == fan.census() == expected_product_census(3)
     assert calls == [fan]
+
+
+@pytest.mark.parametrize("markings", ["0", "0+inf"])
+def test_fan_run_builds_facet_opposites_once(monkeypatch, capsys, markings):
+    calls = []
+    build = StackyFan._build_facet_opposites
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(StackyFan, "_build_facet_opposites", counted)
+    argv = ["fan", "--n", "3", "--i", "1", "--markings", markings]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_facet_opposites_are_read_only():
+    opposites = hilb_fan(3, 1).facet_opposites()
+    facet = next(iter(opposites))
+    with pytest.raises(TypeError):
+        opposites[facet] = (0, 1)
+    assert all(isinstance(o, tuple) for o in opposites.values())
 
 
 def test_max_cones_must_be_full_dimensional():
@@ -393,7 +430,8 @@ def test_fan_checks_use_no_fractions(monkeypatch):
     def no_fractions(*args):
         raise AssertionError("Fraction arithmetic used")
 
-    monkeypatch.setattr(linalg, "Fraction", no_fractions)
+    # rational_solve imports Fraction from the fractions module on each call
+    monkeypatch.setattr(fractions, "Fraction", no_fractions)
     for fan in (hilb_fan(4, 1), hilb_fan_two_sided(4, 1, 1)):
         assert fan.fan_defect() is None
         assert fan.labels(minimal_cone(fan, (1, 2, 3, 4))) == ("rho_4",)

@@ -26,9 +26,23 @@ def test_profile_validation():
         StratumProfile(-1, ())
     with pytest.raises(ProfileError):
         StratumProfile(0, ((0,),))
+    with pytest.raises(ProfileError):
+        StratumProfile(m=-2, nu=((1,),))
+    with pytest.raises(ProfileError):
+        StratumProfile(1, ((1, 2), (), (3, -1)))
     p = StratumProfile(2, ((1, 2), (), (3,)))
     assert p.total == 8
     assert p.codimension == 3
+
+
+def test_profile_is_an_immutable_value():
+    p = StratumProfile(2, ((1, 2), (), (3,)))
+    assert p == StratumProfile(m=2, nu=((1, 2), (), (3,)))
+    assert hash(p) == hash(StratumProfile(2, ((1, 2), (), (3,))))
+    assert repr(p) == "StratumProfile(m=2, nu=((1, 2), (), (3,)))"
+    assert str(p) == "2;(1,2);();(3)"
+    with pytest.raises(AttributeError):
+        p.m = 3
 
 
 def test_profile_str_and_parse_roundtrip():
@@ -53,7 +67,14 @@ def test_zeta_mode_validation():
         ZetaMode("motivic-p1", 1)
     with pytest.raises(ValueError):
         ZetaMode("euler", -1)
+    with pytest.raises(ValueError):
+        ZetaMode(kind="hodge", g=-1)
+    with pytest.raises(ValueError):
+        ZetaMode(kind="motivic-p1", g=2)
     assert ZetaMode("hodge", 2).g == 2
+    assert ZetaMode("motivic-p1") == MOTIVIC_P1 == ZetaMode(kind="motivic-p1", g=0)
+    assert hash(ZetaMode("hodge")) == hash(ZetaMode("hodge", 0))
+    assert repr(MOTIVIC_P1) == "ZetaMode(kind='motivic-p1', g=0)"
 
 
 def test_compositions():
