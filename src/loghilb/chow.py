@@ -25,7 +25,7 @@ import itertools
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .fan import StackyFan
+from .fan import StackyFan, blowup_levels
 from .linalg import hermite_normal_form, in_row_span_z, invariant_factors
 from .poly import MultiPoly, ZERO
 from .strata import StratumProfile
@@ -402,9 +402,14 @@ def eps_name(j: int, r: int = 1) -> str:
     return f"eps{j}_{r}"
 
 
-def eps_level(name: str) -> int:
-    """The point count j of the generator ``eps_name(j, r)``."""
-    return int(name[len("eps"):].partition("_")[0])
+def sr_generator_map(n: int, i: int) -> Dict[str, MultiPoly]:
+    """Degree-1 map from the single-marking blow-up presentation over P^n to the
+    SR ring of ``fan.hilb_fan(n, i)``: H to tau, and the exceptional divisor of
+    level j to rho_j, the ray that level's star subdivision adds."""
+    gen_map = {"H": MultiPoly.var("tau")}
+    for j in blowup_levels(n, i):
+        gen_map[eps_name(j)] = MultiPoly.var(f"rho_{j}")
+    return gen_map
 
 
 def q_polynomial(
@@ -456,22 +461,13 @@ def q_for_levels(
     return q.specialize(sub)
 
 
-def _effective_level(i: int, n: int) -> int:
-    # level 0 and level 1 give isomorphic moduli, and level 0 of the
-    # literal relation list would adjoin a generator coinciding with an
-    # existing ray; the presentation for level 0 is defined to be level 1
-    if i < 0 or i > n:
-        raise PresentationError("stability level must satisfy 0 <= i <= n")
-    return max(i, 1) if n >= 1 else i
-
-
 def thmD_presentation(
     n: int, i_vector: Sequence[int], base: BaseRing
 ) -> GradedPresentation:
     """Blow-up presentation over the symmetric power, all markings at once.
 
-    For each marking r and each level j from n down to i_r + 1 the three
-    relation families are: the Q-polynomial of the level, the kernel of
+    For each marking r and each level j of ``blowup_levels(n, i_r)`` the
+    three relation families are: the Q-polynomial of the level, the kernel of
     restriction times the level's generator, and the lifted lower-level
     Q-polynomials times the level's generator.
     """
@@ -480,13 +476,12 @@ def thmD_presentation(
         raise PresentationError("need at least one marking")
     if base.kind == "symbolic_curve" and base.markings != ell:
         raise PresentationError("base ring marking count mismatch")
-    levels = [_effective_level(i, n) for i in i_vector]
     gens: List[str] = []
     relations: List[MultiPoly] = []
-    for r, i_r in enumerate(levels, start=1):
-        gens.extend(eps_name(j, r) for j in range(i_r + 1, n + 1))
-    for r, i_r in enumerate(levels, start=1):
-        for j in range(n, i_r, -1):
+    for r, i_r in enumerate(i_vector, start=1):
+        levels = blowup_levels(n, i_r)
+        gens.extend(eps_name(j, r) for j in reversed(levels))
+        for j in levels:
             eps_j = MultiPoly.var(eps_name(j, r))
             relations.append(q_for_levels(n, n, j, r, base))
             for ker in base.kernel_generators(n - j, r):
@@ -531,9 +526,8 @@ def iterated_keel(n: int, i: int, base: BaseRing, r: int = 1) -> GradedPresentat
     symmetric-power pullback together with lifts of all relations of the
     center's own presentation.
     """
-    level = _effective_level(i, n)
     pres = GradedPresentation(base, (), (), n)
-    for j in range(n, level, -1):
+    for j in blowup_levels(n, i):
         m = n - j
         ker: List[MultiPoly] = list(base.kernel_generators(m, r))
         for jp in range(m, 0, -1):
@@ -591,26 +585,18 @@ def compare_presentations(
     compared degree by degree.
     """
     b_vars = set(b.variables())
-    substitution: Dict[str, MultiPoly] = {}
     for name, image in gen_map.items():
         if not image.is_homogeneous() or image.degree() not in (1, -1):
             raise PresentationError(f"image of {name!r} is not of degree 1")
         if not set(image.vars) <= b_vars:
             raise PresentationError(f"image of {name!r} uses unknown variables")
-        substitution[name] = image
     relation_report = []
     all_ok = True
     for rel in a.relations:
-        subs = dict(substitution)
         for v in rel.vars:
-            if v not in subs:
-                if v not in b_vars:
-                    raise PresentationError(
-                        f"no image for variable {v!r} of the source"
-                    )
-                subs[v] = MultiPoly.var(v)
-        image = rel.specialize(subs)
-        ok = ideal_member(b, image)
+            if v not in gen_map and v not in b_vars:
+                raise PresentationError(f"no image for variable {v!r} of the source")
+        ok = ideal_member(b, _apply(rel, gen_map))
         all_ok = all_ok and ok
         relation_report.append(
             {"relation": rel.to_string(), "member": ok}

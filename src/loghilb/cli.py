@@ -6,14 +6,16 @@ tables, each with JSON, CSV or aligned-text output.  Every command is
 deterministic and returns its payload and table rows to ``main``; the
 payload's ``checks`` map holds the verdict of each cross-check the command
 ran, by name.  ``main`` writes the output once and picks the exit code: 0 for
-success, 2 for invalid parameters (an ``--output`` path that cannot be
-written included), 3 when any entry of ``checks`` is false or a fan
-invariant fails.  Any other error is internal and exits 1 with a traceback.
+success, 2 for invalid parameters (an ``n`` above its size cap without
+``--force``, and an ``--output`` path that cannot be written, which is checked
+before computing), 3 when any entry of ``checks`` is false or a fan invariant
+fails.  Any other error is internal and exits 1 with a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -23,10 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .chow import (
     BaseRing,
     compare_presentations,
-    eps_level,
     graded_groups,
     ideals_equal,
     iterated_keel,
+    sr_generator_map,
     sr_presentation,
     stratum_cycle_class,
     thmD_presentation,
@@ -59,13 +61,13 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
-# caps from single runs on a shared 2-core machine, Python 3.11: fan --n 6 takes
-# 0.24 s; every chow sr --groups, thmD --compare-sr, keel --groups and compare
-# run at n = 6 and every i takes at most 6.1 s (compare --n 6 --i 0); motive
-# --ell 3 --N 12 takes 29 s.  Graded groups are computed only over the p1 base,
-# which takes a single marking (sr and compare ignore --ell), so the chow cap on
-# n bounds every graded job; symbolic multi-marking presentations print without
-# graded groups (thmD --n 6 --ell 6 --curve symbolic takes 0.31 s).
+# caps, which only --force lifts, from single runs on a shared 2-core machine with
+# Python 3.11: fan --n 6 takes 0.24 s; every chow sr --groups, thmD --compare-sr,
+# keel --groups and compare run at n = 6 and every i takes at most 6.1 s (compare
+# --n 6 --i 0); motive --ell 3 --N 12 takes 29 s.  Graded groups are computed only
+# over the p1 base, which takes a single marking (sr and compare ignore --ell), so
+# the chow cap on n bounds every graded job; symbolic multi-marking presentations
+# print without graded groups (thmD --n 6 --ell 6 --curve symbolic takes 0.31 s).
 MAX_N_FAN = 6
 MAX_N_GROUPS = 6
 MAX_N_MOTIVE = 12
@@ -75,24 +77,29 @@ class UsageError(ValueError):
     """Invalid parameter combination detected after parsing."""
 
 
-def _cap(default: int) -> int:
-    override = os.environ.get("LOGHILB_MAX_N")
-    if override is not None:
-        try:
-            return int(override)
-        except ValueError:
-            raise UsageError(f"LOGHILB_MAX_N is not an integer: {override!r}")
-    return default
-
-
 def _check_cap(n: int, cap: int, what: str, force: bool) -> None:
     if n < 0:
         raise UsageError(f"{what}: n must be non-negative")
     if n > cap and not force:
         raise UsageError(
-            f"{what}: n = {n} exceeds the safety cap {cap} "
-            "(pass --force or set LOGHILB_MAX_N to override)"
+            f"{what}: n = {n} exceeds the safety cap {cap} (pass --force to override)"
         )
+
+
+def _check_output(path: str) -> None:
+    """Before any computation, refuse an ``--output`` path that is a directory
+    or whose directory is missing or not writable, with the reason ``open``
+    would give; ``_emit`` reports any other failure to write."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _emit(payload: dict, rows: List[dict], args: argparse.Namespace) -> None:
@@ -147,7 +154,7 @@ Result = Tuple[dict, List[dict]]
 
 
 def cmd_fan(args: argparse.Namespace) -> Result:
-    _check_cap(args.n, _cap(MAX_N_FAN), "fan", args.force)
+    _check_cap(args.n, MAX_N_FAN, "fan", args.force)
     if args.n < 1:
         raise UsageError("fan: need n >= 1")
     if not 0 <= args.i <= args.n:
@@ -207,7 +214,7 @@ def _base_ring(args: argparse.Namespace) -> BaseRing:
 
 
 def cmd_chow(args: argparse.Namespace) -> Result:
-    _check_cap(args.n, _cap(MAX_N_GROUPS), "chow", args.force)
+    _check_cap(args.n, MAX_N_GROUPS, "chow", args.force)
     if args.n < 1:
         raise UsageError("chow: need n >= 1")
     if not 0 <= args.i <= args.n:
@@ -269,10 +276,7 @@ def _sr_comparison(n: int, i: int, pres) -> dict:
     """Compare a blow-up presentation with the SR ring of ``hilb_fan(n, i)``;
     on failure, name the culprit on stderr."""
     sr = sr_presentation(hilb_fan(n, i))
-    gen_map = {"H": MultiPoly.var("tau")}
-    for name in pres.generators:
-        gen_map[name] = MultiPoly.var(f"rho_{eps_level(name)}")
-    report = compare_presentations(pres, sr, gen_map)
+    report = compare_presentations(pres, sr, sr_generator_map(n, i))
     if not report["pass"]:
         print(f"sr comparison failed: {_sr_culprit(pres, report)}", file=sys.stderr)
     return report
@@ -330,7 +334,7 @@ def _mode(args: argparse.Namespace) -> ZetaMode:
 
 
 def cmd_motive(args: argparse.Namespace) -> Result:
-    _check_cap(args.N, _cap(MAX_N_MOTIVE), "motive", args.force)
+    _check_cap(args.N, MAX_N_MOTIVE, "motive", args.force)
     if args.ell < 1:
         raise UsageError("motive: need at least one marking")
     mode = _mode(args)
@@ -358,7 +362,7 @@ def cmd_motive(args: argparse.Namespace) -> Result:
 
 
 def cmd_strata(args: argparse.Namespace) -> Result:
-    _check_cap(args.n, _cap(MAX_N_MOTIVE), "strata", args.force)
+    _check_cap(args.n, MAX_N_MOTIVE, "strata", args.force)
     if args.ell < 1:
         raise UsageError("strata: need at least one marking")
     mode = MOTIVIC_P1
@@ -466,6 +470,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         payload, rows = args.func(args)
         _emit(payload, rows, args)
     except FanError as exc:

@@ -327,19 +327,29 @@ def rho_vector(n: int, j: int) -> Vector:
     return tuple(k + j - n if k >= n - j + 1 else 0 for k in range(1, n + 1))
 
 
+def blowup_levels(n: int, i: int) -> range:
+    """The levels blown up for n points at stability level i: n down to i + 1.
+
+    Level 0 equals level 1: the last modification is an isomorphism, and
+    level 0 of the literal relation list would adjoin a generator coinciding
+    with an existing ray.
+    """
+    if n < 1:
+        raise FanError("n must be at least 1")
+    if not 0 <= i <= n:
+        raise FanError("stability level must satisfy 0 <= i <= n")
+    return range(n, max(i, 1), -1)
+
+
 def hilb_fan(n: int, i: int) -> StackyFan:
     """Fan of the moduli of n points on the line relative to one origin marking.
 
     Built by star subdivision of the projective fan at the exceptional
-    rays from level n down to level i+1.  Level 0 equals level 1 because
-    the last modification is an isomorphism.
+    rays of ``blowup_levels(n, i)``.
     """
-    if n < 1:
-        raise FanError("n must be at least 1")
-    if i > n or i < 0:
-        raise FanError("stability level must satisfy 0 <= i <= n")
+    levels = blowup_levels(n, i)
     fan = projective_fan(n)
-    for j in range(n, max(i, 1), -1):
+    for j in levels:
         fan = star_subdivide(fan, rho_vector(n, j), label=f"rho_{j}")
     return fan
 
@@ -427,14 +437,10 @@ def hilb_fan_two_sided(n: int, i_zero: int, i_inf: int) -> StackyFan:
     under the coordinate-inversion involution; correctness is accepted
     via census and Euler-characteristic cross-checks, not assumed.
     """
-    if n < 1:
-        raise FanError("n must be at least 1")
-    for i in (i_zero, i_inf):
-        if i > n or i < 0:
-            raise FanError("stability level must satisfy 0 <= i <= n")
+    zero_levels, inf_levels = blowup_levels(n, i_zero), blowup_levels(n, i_inf)
     fan = projective_fan(n)
-    for j in range(n, max(i_zero, 1), -1):
+    for j in zero_levels:
         fan = star_subdivide(fan, rho_vector(n, j), label=f"rho_{j}")
-    for j in range(n, max(i_inf, 1), -1):
+    for j in inf_levels:
         fan = star_subdivide(fan, rho_inf_vector(n, j), label=f"rho_inf_{j}")
     return fan

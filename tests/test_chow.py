@@ -14,7 +14,6 @@ from loghilb.chow import (
     _relation_rows,
     _solved,
     compare_presentations,
-    eps_level,
     eps_name,
     graded_group,
     graded_groups,
@@ -24,11 +23,12 @@ from loghilb.chow import (
     keel_step,
     minimal_nonfaces,
     q_polynomial,
+    sr_generator_map,
     sr_presentation,
     stratum_cycle_class,
     thmD_presentation,
 )
-from loghilb.fan import fan_motive, hilb_fan
+from loghilb.fan import FanError, fan_motive, hilb_fan
 from loghilb.linalg import in_row_span_z, invariant_factors
 from loghilb.poly import MultiPoly, ZERO
 from loghilb.strata import parse_profile
@@ -251,13 +251,6 @@ def test_iterated_keel_matches_direct_presentation(n):
         assert ideals_equal(direct, stepped)
 
 
-def sr_generator_map(pres):
-    gen_map = {"H": TAU}
-    for name in pres.generators:
-        gen_map[name] = rho(eps_level(name))
-    return gen_map
-
-
 @pytest.mark.parametrize(
     "n,i",
     [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
@@ -267,14 +260,59 @@ def sr_generator_map(pres):
 def test_blowup_presentation_matches_sr(n, i):
     pres = thmD_presentation(n, [i], BaseRing.p1(n))
     sr = sr_presentation(hilb_fan(n, i))
-    report = compare_presentations(pres, sr, sr_generator_map(pres))
+    report = compare_presentations(pres, sr, sr_generator_map(n, i))
     assert report["pass"], report
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sr_generator_map_matches_both_presentations(n):
+    base = BaseRing.p1(n)
+    for i in range(n + 1):
+        gen_map = sr_generator_map(n, i)
+        assert set(gen_map) == set(thmD_presentation(n, [i], base).variables())
+        assert set(gen_map) == set(iterated_keel(n, i, base).variables())
+        images = {image.to_string() for image in gen_map.values()}
+        assert len(images) == len(gen_map)
+        assert images <= set(sr_presentation(hilb_fan(n, i)).generators)
+
+
+def test_out_of_range_level_is_a_fan_error():
+    base = BaseRing.p1(3)
+    for i in (-1, 4):
+        with pytest.raises(FanError, match="stability level"):
+            thmD_presentation(3, [i], base)
+        with pytest.raises(FanError, match="stability level"):
+            thmD_presentation(3, [1, i], BaseRing.symbolic(2))
+        with pytest.raises(FanError, match="stability level"):
+            iterated_keel(3, i, base)
+        with pytest.raises(FanError, match="stability level"):
+            sr_generator_map(3, i)
+    with pytest.raises(FanError, match="n must be at least 1"):
+        thmD_presentation(0, [0], BaseRing.p1(0))
+
+
+def test_compare_rejects_bad_maps():
+    pres = thmD_presentation(3, [1], BaseRing.p1(3))
+    sr = sr_presentation(hilb_fan(3, 1))
+    good = sr_generator_map(3, 1)
+    cases = [
+        ({**good, "H": TAU * TAU}, "image of 'H' is not of degree 1"),
+        ({**good, "H": MultiPoly.var("bogus")}, "image of 'H' uses unknown variables"),
+        (
+            {v: p for v, p in good.items() if v != eps_name(3)},
+            "no image for variable 'eps3_1' of the source",
+        ),
+    ]
+    for gen_map, message in cases:
+        with pytest.raises(PresentationError) as caught:
+            compare_presentations(pres, sr, gen_map)
+        assert str(caught.value) == message
 
 
 def test_compare_detects_wrong_map():
     pres = thmD_presentation(3, [1], BaseRing.p1(3))
     sr = sr_presentation(hilb_fan(3, 1))
-    bad = sr_generator_map(pres)
+    bad = sr_generator_map(3, 1)
     bad["H"] = rho(3)
     report = compare_presentations(pres, sr, bad)
     assert not report["pass"]
@@ -332,12 +370,6 @@ def test_cycle_class_total_mismatch():
         stratum_cycle_class(parse_profile("1;(1)"), 5)
 
 
-def test_eps_level_inverts_eps_name():
-    for j in range(13):
-        for r in range(1, 4):
-            assert eps_level(eps_name(j, r)) == j
-
-
 # ---------------------------------------------------------------------------
 # solved linear relations against the unreduced oracle
 
@@ -388,7 +420,7 @@ def membership_cases(draw):
     i = draw(st.integers(min_value=1, max_value=n))
     sr = sr_presentation(hilb_fan(n, i))
     blowup = thmD_presentation(n, [i], BaseRing.p1(n))
-    gen_map = sr_generator_map(blowup)
+    gen_map = sr_generator_map(n, i)
     images = [
         rel.specialize({v: gen_map[v] for v in rel.vars})
         for rel in blowup.relations

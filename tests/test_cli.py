@@ -112,17 +112,25 @@ def test_fan_motive_palindromic_check(capsys):
         assert json.loads(out)["checks"]["motive_palindromic"] is True
 
 
-def test_fan_cap_and_force(capsys, monkeypatch):
+def test_fan_cap_and_force(capsys):
     code, _, err = run(capsys, "fan", "--n", "7", "--i", "1")
     assert code == EXIT_USAGE
-    assert "safety cap" in err
-    monkeypatch.setenv("LOGHILB_MAX_N", "7")
-    code, _, _ = run(capsys, "fan", "--n", "7", "--i", "7")
+    assert err == (
+        "error: fan: n = 7 exceeds the safety cap 6 (pass --force to override)\n"
+    )
+    code, _, _ = run(capsys, "fan", "--n", "7", "--i", "7", "--force")
     assert code == EXIT_OK
 
 
-def test_chow_groups_cap(capsys, monkeypatch):
-    monkeypatch.delenv("LOGHILB_MAX_N", raising=False)
+def test_caps_ignore_the_environment(capsys, monkeypatch):
+    # no environment variable moves a cap, up or down
+    monkeypatch.setenv("LOGHILB_MAX_N", "1")
+    code, _, err = run(capsys, "motive", "--N", "3")
+    assert code == EXIT_OK
+    assert err == ""
+
+
+def test_chow_groups_cap(capsys):
     code, _, _ = run(capsys, "chow", "sr", "--n", "6", "--i", "6", "--groups")
     assert code == EXIT_OK
     code, _, err = run(capsys, "chow", "sr", "--n", "7", "--i", "7", "--groups")
@@ -139,10 +147,9 @@ def test_chow_groups_cap(capsys, monkeypatch):
         ("keel", "--ell", "2", "--groups"),
     ],
 )
-def test_chow_graded_jobs_take_one_marking(capsys, monkeypatch, extra):
+def test_chow_graded_jobs_take_one_marking(capsys, extra):
     # the chow cap on n was measured with one marking; a multi-marking graded
     # job at the cap would have far wider relation matrices
-    monkeypatch.delenv("LOGHILB_MAX_N", raising=False)
     code, _, err = run(capsys, "chow", extra[0], "--n", "6", "--i", "0", *extra[1:])
     assert code == EXIT_USAGE
     assert "safety cap" not in err
@@ -168,6 +175,25 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
     assert not path.exists()
+
+
+def test_unwritable_output_fails_before_computing(capsys, monkeypatch, tmp_path):
+    def closed_form(*args):
+        raise AssertionError("computed before checking --output")
+
+    monkeypatch.setattr(cli, "closed_form", closed_form)
+    (tmp_path / "plain").write_text("")
+    (tmp_path / "folder").mkdir()
+    missing, plain = tmp_path / "missing" / "x.json", tmp_path / "plain" / "x.json"
+    for path in (missing, plain, tmp_path / "folder"):
+        with pytest.raises(OSError) as caught:
+            open(path, "w").close()
+        argv = ("motive", "--ell", "3", "--N", "9", "--output", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        # the reason open() gives at write time
+        assert err == f"error: cannot write {path}: {caught.value.strerror}\n"
 
 
 def test_cli_import_leaves_optional_modules_unloaded():
@@ -394,7 +420,19 @@ def test_failed_strata_total_exits_with_check_failed(capsys, monkeypatch):
     assert doc["total"] == "L^3 + 5*L^2 + 5*L + 1"
 
 
-@pytest.mark.parametrize("subcommand", [("compare",), ("thmD", "--compare-sr")])
+SR_COMPARISONS = [("compare",), ("thmD", "--compare-sr"), ("keel", "--compare-sr")]
+
+
+def failed_sr_checks(subcommand, direct=True):
+    """The checks of a run whose SR comparison failed; keel also checks its
+    presentation against thmD's."""
+    checks = {"sr_comparison": False}
+    if subcommand[0] == "keel":
+        checks["matches_direct_presentation"] = direct
+    return checks
+
+
+@pytest.mark.parametrize("subcommand", SR_COMPARISONS)
 def test_failed_sr_comparison_exits_with_check_failed(capsys, monkeypatch, subcommand):
     compare = cli.compare_presentations
     monkeypatch.setattr(
@@ -403,10 +441,10 @@ def test_failed_sr_comparison_exits_with_check_failed(capsys, monkeypatch, subco
     argv = ("chow", subcommand[0], "--n", "2", "--i", "1", *subcommand[1:])
     code, doc = run_json(capsys, *argv)
     assert code == EXIT_CHECK_FAILED
-    assert doc["checks"] == {"sr_comparison": False}
+    assert doc["checks"] == failed_sr_checks(subcommand)
 
 
-@pytest.mark.parametrize("subcommand", [("compare",), ("thmD", "--compare-sr")])
+@pytest.mark.parametrize("subcommand", SR_COMPARISONS)
 def test_failed_sr_comparison_names_the_relation(capsys, monkeypatch, subcommand):
     member = chow.ideal_member
     monkeypatch.setattr(
@@ -417,15 +455,17 @@ def test_failed_sr_comparison_names_the_relation(capsys, monkeypatch, subcommand
     argv = ("chow", subcommand[0], "--n", "3", "--i", "1", *subcommand[1:])
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == EXIT_CHECK_FAILED
-    assert json.loads(out)["checks"] == {"sr_comparison": False}
-    # the first relation of degree 2 in thmD_presentation(3, [1], p1)
+    # the patched membership also fails keel's check against thmD
+    assert json.loads(out)["checks"] == failed_sr_checks(subcommand, direct=False)
+    # the first relation of degree 2 in thmD_presentation(3, [1], p1), and
+    # in iterated_keel(3, 1, p1)
     assert err == (
         "sr comparison failed: relation H*eps3_1 of degree 2 "
         "is not in the Stanley-Reisner ideal\n"
     )
 
 
-@pytest.mark.parametrize("subcommand", [("compare",), ("thmD", "--compare-sr")])
+@pytest.mark.parametrize("subcommand", SR_COMPARISONS)
 def test_failed_sr_comparison_names_the_degree(capsys, monkeypatch, subcommand):
     group = chow.graded_group
 
@@ -439,7 +479,7 @@ def test_failed_sr_comparison_names_the_degree(capsys, monkeypatch, subcommand):
     argv = ("chow", subcommand[0], "--n", "3", "--i", "1", *subcommand[1:])
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == EXIT_CHECK_FAILED
-    assert json.loads(out)["checks"] == {"sr_comparison": False}
+    assert json.loads(out)["checks"] == failed_sr_checks(subcommand)
     assert err == (
         "sr comparison failed: degree 3: blow-up rank 1, torsion [2, 2]; "
         "SR rank 1, torsion [4]\n"

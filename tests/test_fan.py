@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loghilb import cli, linalg
+from loghilb import fan as fan_module
 from loghilb.fan import (
     FanError,
     Ray,
     StackyFan,
     apply_matrix,
+    blowup_levels,
     fan_motive,
     hilb_fan,
     hilb_fan_two_sided,
@@ -164,6 +166,43 @@ def test_hilb_fan_level_zero_equals_level_one():
 def test_hilb_fan_top_level_is_projective_space():
     for n in (1, 2, 3, 4):
         assert hilb_fan(n, n) == projective_fan(n)
+
+
+def test_blowup_levels():
+    assert list(blowup_levels(4, 1)) == [4, 3, 2]
+    assert blowup_levels(4, 0) == blowup_levels(4, 1)
+    assert list(blowup_levels(4, 4)) == list(blowup_levels(1, 0)) == []
+    for n, i in ((0, 0), (3, -1), (3, 4)):
+        with pytest.raises(FanError):
+            blowup_levels(n, i)
+        with pytest.raises(FanError):
+            hilb_fan(n, i)
+        with pytest.raises(FanError):
+            hilb_fan_two_sided(n, 1 if n else 0, i)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fans_add_one_ray_per_blowup_level(n):
+    for i in range(n + 1):
+        added = [r.label for r in hilb_fan(n, i).rays[n + 1:]]
+        assert added == [f"rho_{j}" for j in blowup_levels(n, i)]
+        two_sided = hilb_fan_two_sided(n, i, n - i)
+        assert [r.label for r in two_sided.rays[n + 1:]] == added + [
+            f"rho_inf_{j}" for j in blowup_levels(n, n - i)
+        ]
+
+
+def test_fan_builders_do_not_call_each_other(monkeypatch):
+    # the benchmark times both builders as one layer, fan.build, so a nested
+    # call would count that layer twice
+    def nested(*args):
+        raise AssertionError("one fan builder called the other")
+
+    monkeypatch.setattr(fan_module, "hilb_fan", nested)
+    monkeypatch.setattr(fan_module, "hilb_fan_two_sided", nested)
+    # this module's names still reach the real builders
+    assert hilb_fan(3, 1).census() == (1, 6, 12, 8)
+    assert hilb_fan_two_sided(3, 1, 1).census() == (1, 8, 18, 12)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
