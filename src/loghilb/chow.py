@@ -35,11 +35,14 @@ class PresentationError(ValueError):
     """Invalid presentation input."""
 
 
+# the hyperplane class of the p1 base ring Z[H]/(H^(n+1))
+HYPERPLANE = "H"
+
+
 # fields of the validating subclass below (see fan.Ray)
 class _BaseRingFields(NamedTuple):
     kind: str
     n: int = 0
-    hvar: str = "H"
     markings: int = 1
 
 
@@ -78,7 +81,7 @@ class BaseRing(_BaseRingFields):
     def c1_name(self, r: int) -> str:
         if self.kind == "symbolic_curve":
             return f"c1L_{r}"
-        return self.hvar
+        return HYPERPLANE
 
     def kernel_generators(self, m: int, r: int) -> Tuple[MultiPoly, ...]:
         """Generators of the kernel of restriction to the m-th symmetric power.
@@ -87,7 +90,7 @@ class BaseRing(_BaseRingFields):
         symbolic mode an opaque token stands in for the whole kernel.
         """
         if self.kind == "trunc_hyperplane":
-            return (MultiPoly.var(self.hvar) ** (m + 1),)
+            return (MultiPoly.var(HYPERPLANE) ** (m + 1),)
         if self.kind == "symbolic_curve":
             return (MultiPoly.var(f"kerS{m}_{r}"),)
         raise PresentationError("plain integer base has no symmetric-power maps")
@@ -115,20 +118,20 @@ class GradedPresentation(_GradedPresentationFields):
     ):
         if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
-        if base.kind == "trunc_hyperplane" and base.hvar in generators:
+        if base.kind == "trunc_hyperplane" and HYPERPLANE in generators:
             raise PresentationError("generator name clashes with the base variable")
         return super().__new__(cls, base, generators, relations, top_degree)
 
     def variables(self) -> Tuple[str, ...]:
         """All degree-1 variables of the ambient graded ring."""
         if self.base.kind == "trunc_hyperplane":
-            return self.generators + (self.base.hvar,)
+            return self.generators + (HYPERPLANE,)
         return self.generators
 
     def all_relations(self) -> Tuple[MultiPoly, ...]:
         """Stated relations plus the base ring's implicit truncation."""
         if self.base.kind == "trunc_hyperplane":
-            trunc = MultiPoly.var(self.base.hvar) ** (self.base.n + 1)
+            trunc = MultiPoly.var(HYPERPLANE) ** (self.base.n + 1)
             return self.relations + (trunc,)
         return self.relations
 
@@ -136,7 +139,7 @@ class GradedPresentation(_GradedPresentationFields):
         base: dict = {"kind": self.base.kind}
         if self.base.kind == "trunc_hyperplane":
             base["n"] = self.base.n
-            base["variable"] = self.base.hvar
+            base["variable"] = HYPERPLANE
         if self.base.kind == "symbolic_curve":
             base["markings"] = self.base.markings
         return {
@@ -406,7 +409,7 @@ def sr_generator_map(n: int, i: int) -> Dict[str, MultiPoly]:
     """Degree-1 map from the single-marking blow-up presentation over P^n to the
     SR ring of ``fan.hilb_fan(n, i)``: H to tau, and the exceptional divisor of
     level j to rho_j, the ray that level's star subdivision adds."""
-    gen_map = {"H": MultiPoly.var("tau")}
+    gen_map = {HYPERPLANE: MultiPoly.var("tau")}
     for j in blowup_levels(n, i):
         gen_map[eps_name(j)] = MultiPoly.var(f"rho_{j}")
     return gen_map
@@ -417,7 +420,7 @@ def q_polynomial(
     h: int,
     t_var: str,
     upper_vars: Sequence[str] = (),
-    c_var: str = "H",
+    c_var: str = HYPERPLANE,
 ) -> MultiPoly:
     """Equivariant top Chern class of the blow-up center's normal bundle.
 
@@ -461,15 +464,36 @@ def q_for_levels(
     return q.specialize(sub)
 
 
+def _level_relations(
+    n_top: int, m: int, h: int, r: int, base: BaseRing
+) -> List[MultiPoly]:
+    """Relations of level h of the blow-up tower over the m-th symmetric power,
+    with generators named as in the n_top tower (level l there is n_top - m + l).
+
+    In order: the level's Q-polynomial, then the level's generator times each
+    kernel generator of restriction to the (m - h)-th symmetric power, then
+    that generator times each lower Q-polynomial, levels m - h down to 1.
+    ``thmD_presentation`` takes m = n_top; ``iterated_keel`` lifts the
+    centre's relations with m < n_top.
+    """
+    eps = MultiPoly.var(eps_name(n_top - m + h, r))
+    return (
+        [q_for_levels(n_top, m, h, r, base)]
+        + [ker * eps for ker in base.kernel_generators(m - h, r)]
+        + [
+            q_for_levels(n_top, m - h, k, r, base) * eps
+            for k in range(m - h, 0, -1)
+        ]
+    )
+
+
 def thmD_presentation(
     n: int, i_vector: Sequence[int], base: BaseRing
 ) -> GradedPresentation:
     """Blow-up presentation over the symmetric power, all markings at once.
 
-    For each marking r and each level j of ``blowup_levels(n, i_r)`` the
-    three relation families are: the Q-polynomial of the level, the kernel of
-    restriction times the level's generator, and the lifted lower-level
-    Q-polynomials times the level's generator.
+    For each marking r, the relations of each level j of
+    ``blowup_levels(n, i_r)`` (``_level_relations``).
     """
     ell = len(i_vector)
     if ell < 1:
@@ -482,12 +506,7 @@ def thmD_presentation(
         levels = blowup_levels(n, i_r)
         gens.extend(eps_name(j, r) for j in reversed(levels))
         for j in levels:
-            eps_j = MultiPoly.var(eps_name(j, r))
-            relations.append(q_for_levels(n, n, j, r, base))
-            for ker in base.kernel_generators(n - j, r):
-                relations.append(ker * eps_j)
-            for k in range(n - j, 0, -1):
-                relations.append(q_for_levels(n, n - j, k, r, base) * eps_j)
+            relations.extend(_level_relations(n, n, j, r, base))
     return GradedPresentation(base, tuple(gens), tuple(relations), n)
 
 
@@ -531,14 +550,7 @@ def iterated_keel(n: int, i: int, base: BaseRing, r: int = 1) -> GradedPresentat
         m = n - j
         ker: List[MultiPoly] = list(base.kernel_generators(m, r))
         for jp in range(m, 0, -1):
-            ker.append(q_for_levels(n, m, jp, r, base))
-            for kg in base.kernel_generators(m - jp, r):
-                ker.append(kg * MultiPoly.var(eps_name(jp + j, r)))
-            for k in range(m - jp, 0, -1):
-                ker.append(
-                    q_for_levels(n, m - jp, k, r, base)
-                    * MultiPoly.var(eps_name(jp + j, r))
-                )
+            ker.extend(_level_relations(n, m, jp, r, base))
         q = q_for_levels(n, n, j, r, base)
         pres = keel_step(pres, ker, q, eps_name(j, r))
     return pres

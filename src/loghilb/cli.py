@@ -8,8 +8,8 @@ payload's ``checks`` map holds the verdict of each cross-check the command
 ran, by name.  ``main`` writes the output once and picks the exit code: 0 for
 success, 2 for invalid parameters (an ``n`` above its size cap without
 ``--force``, and an ``--output`` path that cannot be written, which is checked
-before computing), 3 when any entry of ``checks`` is false or a fan invariant
-fails.  Any other error is internal and exits 1 with a traceback.
+before computing), 3 when any entry of ``checks`` is false.  Any other error
+is internal and exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -33,19 +33,11 @@ from .chow import (
     stratum_cycle_class,
     thmD_presentation,
 )
-from .fan import (
-    FanError,
-    StackyFan,
-    fan_motive,
-    hilb_fan,
-    hilb_fan_two_sided,
-    is_palindromic,
-)
+from .fan import fan_motive, hilb_fan, hilb_fan_two_sided, is_palindromic
 from .poly import MultiPoly
 from .strata import (
     MOTIVIC_P1,
     ProfileError,
-    StratumProfile,
     ZetaMode,
     closed_form,
     enumerate_profiles,
@@ -62,13 +54,15 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
 # caps, which only --force lifts, from single runs on a shared 2-core machine with
-# Python 3.11: fan --n 6 takes 0.24 s; every chow sr --groups, thmD --compare-sr,
-# keel --groups and compare run at n = 6 and every i takes at most 6.1 s (compare
-# --n 6 --i 0); motive --ell 3 --N 12 takes 29 s.  Graded groups are computed only
-# over the p1 base, which takes a single marking (sr and compare ignore --ell), so
-# the chow cap on n bounds every graded job; symbolic multi-marking presentations
-# print without graded groups (thmD --n 6 --ell 6 --curve symbolic takes 0.31 s).
-MAX_N_FAN = 6
+# Python 3.11: every fan run at n = 8 (each i, and two-sided i, i-inf in {0, 1, 4,
+# 8}) takes at most 1.8 s, and n = 9 two-sided with i, i-inf <= 1 takes 5-6.5 s;
+# every chow sr --groups, thmD --compare-sr, keel --groups and compare run at
+# n = 6 and every i takes at most 6.1 s (compare --n 6 --i 0); motive --ell 3
+# --N 12 takes 29 s.  Graded groups are computed only over the p1 base, which
+# takes a single marking (sr and compare ignore --ell), so the chow cap on n
+# bounds every graded job; symbolic multi-marking presentations print without
+# graded groups (thmD --n 6 --ell 6 --curve symbolic takes 0.31 s).
+MAX_N_FAN = 8
 MAX_N_GROUPS = 6
 MAX_N_MOTIVE = 12
 
@@ -474,9 +468,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _check_output(args.output)
         payload, rows = args.func(args)
         _emit(payload, rows, args)
-    except FanError as exc:
-        print(f"fan invariant failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except (UsageError, ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -354,41 +354,13 @@ def hilb_fan(n: int, i: int) -> StackyFan:
     return fan
 
 
-def insert_weighted_ray(
-    fan: StackyFan,
-    cone,
-    weights: Sequence[int],
-    label: Optional[str] = None,
-) -> StackyFan:
-    """Star subdivision at the weighted sum of a cone's rays.
-
-    This is the toric shadow of a weighted blow-up along the closed
-    stratum of the cone.  The weighted sum must come out primitive; the
-    gcd is deliberately not divided out.
-    """
-    idx = sorted(cone)
-    if not idx:
-        raise FanError("cannot blow up the origin cone")
-    if not any(frozenset(idx) <= c for c in fan.max_cones):
-        raise FanError("blow-up center is not a cone of the fan")
-    if len(weights) != len(idx) or any(w < 1 for w in weights):
-        raise FanError("weights must be positive integers, one per ray")
-    v = [0] * fan.dim
-    for w, i in zip(weights, idx):
-        for k in range(fan.dim):
-            v[k] += w * fan.rays[i].vector[k]
-    if not is_primitive(v):
-        raise FanError(f"weighted ray {tuple(v)} is imprimitive")
-    return star_subdivide(fan, tuple(v), label=label)
-
-
-def fan_motive(fan: StackyFan, lefschetz: str = "L") -> MultiPoly:
+def fan_motive(fan: StackyFan) -> MultiPoly:
     """Class of the toric stack in the Grothendieck ring, as a polynomial in L.
 
     Each cone of dimension d contributes a torus factor (L-1)^(n-d): one torus
     orbit per cone, so this holds for any fan, complete or not.
     """
-    lm1 = MultiPoly.var(lefschetz) - 1
+    lm1 = MultiPoly.var("L") - 1
     total = MultiPoly.const(0)
     for count, dim in zip(fan.census(), range(fan.dim + 1)):
         total = total + count * (lm1 ** (fan.dim - dim))

@@ -255,12 +255,11 @@ class TruncSeries:
         self.coeffs = tuple(MultiPoly._coerce(c) for c in coeffs)
 
     @staticmethod
-    def from_rational(
-        num: MultiPoly, den: MultiPoly, order: int, tvar: str = "t"
-    ) -> "TruncSeries":
-        """Expand num/den to the given order; den must have constant term +-1."""
-        n_by = num.coefficients_in(tvar)
-        d_by = den.coefficients_in(tvar)
+    def from_rational(num: MultiPoly, den: MultiPoly, order: int) -> "TruncSeries":
+        """Expand num/den in ``t`` to the given order; den must have constant
+        term +-1."""
+        n_by = num.coefficients_in("t")
+        d_by = den.coefficients_in("t")
         d0 = d_by.get(0, ZERO)
         if d0.degree() > 0 or d0.constant_term() not in (1, -1):
             raise NonUnitDenominatorError(
@@ -278,11 +277,6 @@ class TruncSeries:
             coeffs.append(acc * unit)
         return TruncSeries(order, coeffs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         order = min(self.order, other.order)
         coeffs = []
@@ -292,17 +286,3 @@ class TruncSeries:
                 acc = acc + self.coeffs[i] * other.coeffs[k - i]
             coeffs.append(acc)
         return TruncSeries(order, coeffs)
-
-    def __repr__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            s = c.to_string()
-            if k == 0:
-                parts.append(s)
-            else:
-                tk = "t" if k == 1 else f"t^{k}"
-                parts.append(tk if s == "1" else f"({s})*{tk}")
-        body = " + ".join(parts) if parts else "0"
-        return f"TruncSeries({body} + O(t^{self.order + 1}))"

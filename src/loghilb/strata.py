@@ -87,7 +87,7 @@ class ZetaMode(_ZetaModeFields):
 MOTIVIC_P1 = ZetaMode("motivic-p1", 0)
 
 
-def lefschetz_class(mode: ZetaMode) -> MultiPoly:
+def affine_line_class(mode: ZetaMode) -> MultiPoly:
     """The class of the affine line in the mode's coefficient ring."""
     if mode.kind == "motivic-p1":
         return MultiPoly.var("L")
@@ -102,7 +102,7 @@ def zeta_num_den(mode: ZetaMode) -> Tuple[MultiPoly, MultiPoly]:
     """Numerator and denominator of the symmetric-power generating function."""
     t = MultiPoly.var("t")
     one = MultiPoly.const(1)
-    lam = lefschetz_class(mode)
+    lam = affine_line_class(mode)
     if mode.kind == "euler":
         e = 2 * mode.g - 2
         if e >= 0:
@@ -120,19 +120,13 @@ def zeta_num_den(mode: ZetaMode) -> Tuple[MultiPoly, MultiPoly]:
     return num, den
 
 
-def zeta_series(mode: ZetaMode, order: int) -> TruncSeries:
-    """Truncated generating function of symmetric-power classes."""
-    num, den = zeta_num_den(mode)
-    return TruncSeries.from_rational(num, den, order)
-
-
 def closed_form(mode: ZetaMode, ell: int, order: int) -> TruncSeries:
     """Truncated generating function of the relative-moduli classes."""
     if ell < 0:
         raise ValueError("number of markings must be non-negative")
     t = MultiPoly.var("t")
     one = MultiPoly.const(1)
-    lam = lefschetz_class(mode)
+    lam = affine_line_class(mode)
     num, den = zeta_num_den(mode)
     num = num * ((one - lam * t) * (one - t)) ** ell
     den = den * (one - (lam + 1) * t) ** ell
@@ -192,7 +186,7 @@ def stratum_class(profile: StratumProfile, mode: ZetaMode, ell: int) -> MultiPol
     if len(profile.nu) != ell:
         raise ProfileError("profile does not match the number of markings")
     interior = interior_sym_coefficients(mode, ell, profile.m)[profile.m]
-    lam = lefschetz_class(mode)
+    lam = affine_line_class(mode)
     cls = interior
     for comp in profile.nu:
         for part in comp:
@@ -203,7 +197,7 @@ def stratum_class(profile: StratumProfile, mode: ZetaMode, ell: int) -> MultiPol
 def strata_sum(n: int, ell: int, mode: ZetaMode) -> MultiPoly:
     """Brute-force class of the relative moduli space: sum over all strata."""
     interior = interior_sym_coefficients(mode, ell, n)
-    lam = lefschetz_class(mode)
+    lam = affine_line_class(mode)
     lam_powers = [MultiPoly.const(1)]
     for _ in range(n):
         lam_powers.append(lam_powers[-1] * lam)

@@ -66,7 +66,7 @@ def test_base_ring_validation():
     assert BaseRing.p1(3) == BaseRing("trunc_hyperplane", n=3)
     assert BaseRing.p1(3) != BaseRing.p1(4)
     assert repr(BaseRing.integers()) == (
-        "BaseRing(kind='integers', n=0, hvar='H', markings=1)"
+        "BaseRing(kind='integers', n=0, markings=1)"
     )
 
 

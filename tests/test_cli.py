@@ -113,12 +113,12 @@ def test_fan_motive_palindromic_check(capsys):
 
 
 def test_fan_cap_and_force(capsys):
-    code, _, err = run(capsys, "fan", "--n", "7", "--i", "1")
+    code, _, err = run(capsys, "fan", "--n", "9", "--i", "1")
     assert code == EXIT_USAGE
     assert err == (
-        "error: fan: n = 7 exceeds the safety cap 6 (pass --force to override)\n"
+        "error: fan: n = 9 exceeds the safety cap 8 (pass --force to override)\n"
     )
-    code, _, _ = run(capsys, "fan", "--n", "7", "--i", "7", "--force")
+    code, _, _ = run(capsys, "fan", "--n", "9", "--i", "9", "--force")
     assert code == EXIT_OK
 
 
@@ -291,6 +291,25 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "graded_groups", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["chow", "sr", "--n", "2", "--i", "1", "--groups"])
+
+
+def test_fan_error_is_an_internal_error():
+    # parameters are validated before a fan is built, so a FanError is a bug:
+    # exit 1 with a traceback, not the failed-check code 3
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from loghilb import cli, fan\n"
+        "def broken(n, i): raise fan.FanError('internal fault')\n"
+        "cli.hilb_fan = broken\n"
+        "sys.exit(cli.main(['fan', '--n', '2', '--i', '1']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(src)], capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" in done.stderr
+    assert done.stderr.endswith("loghilb.fan.FanError: internal fault\n")
 
 
 def test_motive_single_marking(capsys):

@@ -18,7 +18,6 @@ from loghilb.fan import (
     fan_motive,
     hilb_fan,
     hilb_fan_two_sided,
-    insert_weighted_ray,
     involution_matrix,
     is_palindromic,
     is_primitive,
@@ -235,19 +234,21 @@ def test_fan_motive_projective_space():
     assert fan_motive(projective_fan(3)) == L ** 3 + L ** 2 + L + 1
 
 
-def test_insert_weighted_ray():
-    fan = projective_fan(2)
-    cone = minimal_cone(fan, (1, 2))
-    out = insert_weighted_ray(fan, cone, (1, 2), label="rho_2")
-    assert out.ray_index((1, 2)) is not None
-    with pytest.raises(FanError):
-        insert_weighted_ray(fan, cone, (2, 2))  # (2,2) is imprimitive
-    with pytest.raises(FanError):
-        insert_weighted_ray(fan, cone, (1,))
-    # the rho_2 subdivision split the cone {sigma_1, sigma_2}
-    split = hilb_fan(2, 1)
-    with pytest.raises(FanError, match="not a cone"):
-        insert_weighted_ray(split, {0, 1}, (1, 1))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_level_is_the_weighted_blowup_of_its_cone(n):
+    # level j blows up the cone {sigma_(n-j+1), ..., sigma_n} with weights 1, ..., j
+    for i in range(n + 1):
+        fan = projective_fan(n)
+        for j in blowup_levels(n, i):
+            centre = tuple(f"sigma_{n - j + k}" for k in range(1, j + 1))
+            assert fan.labels(minimal_cone(fan, rho_vector(n, j))) == centre
+            vectors = {ray.label: ray.vector for ray in fan.rays}
+            weighted = [0] * n
+            for k, label in enumerate(centre, start=1):
+                weighted = [x + k * y for x, y in zip(weighted, vectors[label])]
+            assert rho_vector(n, j) == tuple(weighted)
+            fan = star_subdivide(fan, rho_vector(n, j), label=f"rho_{j}")
+        assert fan == hilb_fan(n, i)
 
 
 def test_involution_is_an_involution():

@@ -17,7 +17,6 @@ from loghilb.strata import (
     stabilizer_bounds,
     strata_sum,
     stratum_class,
-    zeta_series,
 )
 
 
@@ -92,7 +91,7 @@ def test_enumerate_profiles_counts():
 
 
 def test_zeta_series_p1():
-    s = zeta_series(MOTIVIC_P1, 3)
+    s = closed_form(MOTIVIC_P1, 0, 3)
     L = MultiPoly.var("L")
     # symmetric powers of the projective line are projective spaces
     assert s.coeffs[2] == L ** 2 + L + 1
@@ -170,7 +169,7 @@ def test_specializations_of_motivic_series():
 
 def test_hodge_genus_two_symmetric_square():
     u, v = MultiPoly.var("u"), MultiPoly.var("v")
-    s = zeta_series(ZetaMode("hodge", 2), 2)
+    s = closed_form(ZetaMode("hodge", 2), 0, 2)
     # signed Hodge-Deligne polynomial of a genus-2 curve
     assert s.coeffs[1] == 1 - 2 * u - 2 * v + u * v
     # its Euler specialization u = v = 1 is 2 - 2g = -2
