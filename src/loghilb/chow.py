@@ -12,9 +12,12 @@ of points on the line are implemented:
 
 Graded pieces and ideal membership are computed after the degree-1
 relations with a unit coefficient are solved (``_solved``), an exact
-isomorphism of graded Z-algebras; the relation matrix of each degree is then
-brought to Hermite form once (``_echelon``), and graded pieces come from its
-integer invariant factors (``linalg.invariant_factors``).  Torsion is
+isomorphism of graded Z-algebras.  The sparse relation matrix of each degree
+is then brought once to a ``linalg.ReducedForm`` (``_reduced``): its +-1
+pivots are eliminated in Markowitz order and only the remaining core gets a
+dense Hermite form.  Graded pieces come from the form's invariant factors,
+one 1 per pivot plus those of the core, and membership reduces against its
+pivot rows and then its Hermite rows (``ideal_residue``).  Torsion is
 reported, never dropped.
 """
 
@@ -26,7 +29,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .fan import StackyFan, blowup_levels
-from .linalg import hermite_normal_form, in_row_span_z, invariant_factors
+from .linalg import ReducedForm, reduced_form
 from .poly import MultiPoly, ZERO
 from .strata import StratumProfile
 
@@ -243,8 +246,9 @@ def _embed_terms(p: MultiPoly, var_order: Sequence[str]) -> Dict[Tuple[int, ...]
 
 def _relation_rows(
     pres: GradedPresentation, degree: int
-) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
-    """Degree-k monomial basis and the matrix of (relation x monomial) rows."""
+) -> Tuple[List[Tuple[int, ...]], List[Dict[int, int]]]:
+    """Degree-k monomial basis and the (relation x monomial) rows of the
+    relation matrix, each a sparse map {basis position: coefficient}."""
     variables = pres.variables()
     basis = monomial_exponents(len(variables), degree)
     index = {exp: i for i, exp in enumerate(basis)}
@@ -261,11 +265,12 @@ def _relation_rows(
             continue
         embedded = _embed_terms(rel, variables)
         for shift in monomial_exponents(len(variables), degree - d):
-            row = [0] * len(basis)
-            for exp, c in embedded.items():
-                target = tuple(x + y for x, y in zip(exp, shift))
-                row[index[target]] += c
-            rows.append(row)
+            rows.append(
+                {
+                    index[tuple(x + y for x, y in zip(exp, shift))]: c
+                    for exp, c in embedded.items()
+                }
+            )
     return basis, rows
 
 
@@ -329,14 +334,13 @@ def _solved(
 
 
 @functools.lru_cache(maxsize=128)
-def _echelon(
+def _reduced(
     pres: GradedPresentation, degree: int
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+) -> Tuple[Tuple[Tuple[int, ...], ...], ReducedForm]:
     """Monomial basis of the solved presentation in one degree, and the
-    nonzero rows of the Hermite form of its relation matrix."""
+    reduced form of its relation matrix."""
     basis, rows = _relation_rows(_solved(pres)[0], degree)
-    echelon = tuple(tuple(row) for row in hermite_normal_form(rows) if any(row))
-    return tuple(basis), echelon
+    return tuple(basis), reduced_form(rows, len(basis))
 
 
 def graded_group(pres: GradedPresentation, degree: int) -> GradedPiece:
@@ -350,9 +354,9 @@ def graded_group(pres: GradedPresentation, degree: int) -> GradedPiece:
         raise PresentationError("no graded computation in symbolic mode")
     if not 0 <= degree <= pres.top_degree:
         raise PresentationError("degree out of range")
-    basis, rows = _echelon(pres, degree)
-    factors = invariant_factors(rows) if rows else []
-    rank = len(basis) - len(factors)
+    form = _reduced(pres, degree)[1]
+    factors = form.invariant_factors()
+    rank = form.ncols - len(factors)
     torsion = tuple(f for f in factors if f > 1)
     return GradedPiece(degree, rank, torsion)
 
@@ -361,30 +365,39 @@ def graded_groups(pres: GradedPresentation) -> List[GradedPiece]:
     return [graded_group(pres, k) for k in range(pres.top_degree + 1)]
 
 
-def ideal_member(pres: GradedPresentation, poly: MultiPoly) -> bool:
-    """Is a homogeneous polynomial in the ideal, checked at its own degree?
+def ideal_residue(pres: GradedPresentation, poly: MultiPoly) -> MultiPoly:
+    """What is left of a homogeneous polynomial after reduction against the
+    ideal at its own degree: zero exactly when the polynomial is a member.
 
-    Degrees above the top degree are automatically members: every class
-    there vanishes, so the degree bound makes the check complete.  The
-    polynomial is pushed through the substitution of ``_solved`` and tested
-    against the Hermite rows of that degree, which are computed once per
-    presentation and degree.
+    Degrees above the top degree leave nothing: every class there vanishes,
+    so the degree bound makes the check complete.  The polynomial is pushed
+    through the substitution of ``_solved`` and reduced against the reduced
+    form of that degree, which is computed once per presentation and degree;
+    the residue is written in the solved presentation's variables, its terms
+    in the order of the monomial basis.
     """
     if poly.is_zero():
-        return True
+        return ZERO
     if not poly.is_homogeneous():
         raise PresentationError("membership check needs a homogeneous polynomial")
     degree = poly.degree()
     if degree > pres.top_degree:
-        return True
+        return ZERO
     reduced, substitution = _solved(pres)
     image = _apply(poly, substitution)
-    basis, rows = _echelon(pres, degree)
+    basis, form = _reduced(pres, degree)
     index = {exp: i for i, exp in enumerate(basis)}
-    target = [0] * len(basis)
-    for exp, c in _embed_terms(image, reduced.variables()).items():
-        target[index[exp]] = c
-    return in_row_span_z(rows, target)
+    target = {
+        index[exp]: c for exp, c in _embed_terms(image, reduced.variables()).items()
+    }
+    left = form.residue(target)
+    return MultiPoly(reduced.variables(), {basis[j]: c for j, c in left.items()})
+
+
+def ideal_member(pres: GradedPresentation, poly: MultiPoly) -> bool:
+    """Is a homogeneous polynomial in the ideal, checked at its own degree?
+    (``ideal_residue`` is zero.)"""
+    return ideal_residue(pres, poly).is_zero()
 
 
 def ideals_equal(a: GradedPresentation, b: GradedPresentation) -> bool:

@@ -26,6 +26,7 @@ from .chow import (
     BaseRing,
     compare_presentations,
     graded_groups,
+    ideal_residue,
     ideals_equal,
     iterated_keel,
     sr_generator_map,
@@ -56,14 +57,15 @@ EXIT_CHECK_FAILED = 3
 # caps, which only --force lifts, from single runs on a shared 2-core machine with
 # Python 3.11: every fan run at n = 8 (each i, and two-sided i, i-inf in {0, 1, 4,
 # 8}) takes at most 1.8 s, and n = 9 two-sided with i, i-inf <= 1 takes 5-6.5 s;
-# every chow sr --groups, thmD --compare-sr, keel --groups and compare run at
-# n = 6 and every i takes at most 6.1 s (compare --n 6 --i 0); motive --ell 3
-# --N 12 takes 29 s.  Graded groups are computed only over the p1 base, which
-# takes a single marking (sr and compare ignore --ell), so the chow cap on n
-# bounds every graded job; symbolic multi-marking presentations print without
-# graded groups (thmD --n 6 --ell 6 --curve symbolic takes 0.31 s).
+# every chow sr --groups, thmD --compare-sr, keel --groups and compare run takes
+# at most 0.3-0.4 s at n = 6 and at most 3.3-5.1 s at n = 7 (keel --n 7 --i 0 or
+# 1 --groups), for every i; motive --ell 3 --N 12 takes 29 s.  Graded groups are
+# computed only over the p1 base, which takes a single marking (sr and compare
+# ignore --ell), so the chow cap on n bounds every graded job; symbolic
+# multi-marking presentations print without graded groups (thmD --n 6 --ell 6
+# --curve symbolic takes 0.31 s).
 MAX_N_FAN = 8
-MAX_N_GROUPS = 6
+MAX_N_GROUPS = 7
 MAX_N_MOTIVE = 12
 
 
@@ -270,20 +272,29 @@ def _sr_comparison(n: int, i: int, pres) -> dict:
     """Compare a blow-up presentation with the SR ring of ``hilb_fan(n, i)``;
     on failure, name the culprit on stderr."""
     sr = sr_presentation(hilb_fan(n, i))
-    report = compare_presentations(pres, sr, sr_generator_map(n, i))
+    gen_map = sr_generator_map(n, i)
+    report = compare_presentations(pres, sr, gen_map)
     if not report["pass"]:
-        print(f"sr comparison failed: {_sr_culprit(pres, report)}", file=sys.stderr)
+        culprit = _sr_culprit(pres, sr, gen_map, report)
+        print(f"sr comparison failed: {culprit}", file=sys.stderr)
     return report
 
 
-def _sr_culprit(pres, report: dict) -> str:
-    """The first relation outside the SR ideal, else the first degree whose
-    rank or torsion differs."""
+def _sr_culprit(pres, sr, gen_map: Dict[str, MultiPoly], report: dict) -> str:
+    """The first relation outside the SR ideal, with the first monomial its
+    image leaves after reduction, else the first degree whose rank or torsion
+    differs."""
     for rel, entry in zip(pres.relations, report["relations"]):
         if not entry["member"]:
+            left = ideal_residue(sr, rel.specialize(gen_map))
+            first = ""
+            if not left.is_zero():
+                exp, c = next(iter(left.terms.items()))
+                monomial = MultiPoly(left.vars, {exp: c}).to_string()
+                first = f"; the first monomial left after reduction is {monomial}"
             return (
                 f"relation {entry['relation']} of degree {rel.degree()} "
-                "is not in the Stanley-Reisner ideal"
+                f"is not in the Stanley-Reisner ideal{first}"
             )
     for entry in report["graded"]:
         if not entry["match"]:

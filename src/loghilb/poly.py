@@ -157,19 +157,52 @@ class MultiPoly:
     # -- substitution --------------------------------------------------
 
     def specialize(self, substitution: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
-        """Substitute a polynomial for every variable occurring in self."""
+        """Substitute a polynomial for every variable occurring in self.
+
+        One pass over the terms: the images are put over one merged variable
+        list, the powers of each image are computed once and kept, and the
+        result is canonicalized once, at the end.
+        """
         missing = [v for v in self.vars if v not in substitution]
         if missing:
             raise KeyError(f"no substitution for variables {missing}")
         subs = [self._coerce(substitution[v]) for v in self.vars]
-        total = MultiPoly.const(0)
+        names = sorted({v for s in subs for v in s.vars})
+        position = {v: k for k, v in enumerate(names)}
+        const_exp = (0,) * len(names)
+
+        def remap(p: "MultiPoly") -> Dict[Exponent, int]:
+            pos = [position[v] for v in p.vars]
+            out: Dict[Exponent, int] = {}
+            for exp, c in p.terms.items():
+                new = list(const_exp)
+                for k, e in zip(pos, exp):
+                    new[k] = e
+                out[tuple(new)] = c
+            return out
+
+        def times(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> Dict[Exponent, int]:
+            out: Dict[Exponent, int] = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    exp = tuple(x + y for x, y in zip(e1, e2))
+                    out[exp] = out.get(exp, 0) + c1 * c2
+            return out
+
+        # powers[k][e - 1] is the e-th power of the k-th image
+        powers = [[remap(s)] for s in subs]
+        total: Dict[Exponent, int] = {}
         for exp, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for s, e in zip(subs, exp):
+            term = {const_exp: c}
+            for k, e in enumerate(exp):
                 if e:
-                    term = term * (s ** e)
-            total = total + term
-        return total
+                    cached = powers[k]
+                    while len(cached) < e:
+                        cached.append(times(cached[-1], cached[0]))
+                    term = times(term, cached[e - 1])
+            for key, value in term.items():
+                total[key] = total.get(key, 0) + value
+        return MultiPoly(names, total)
 
     def coefficients_in(self, name: str) -> Dict[int, "MultiPoly"]:
         """Split into coefficients of powers of one variable."""
@@ -275,14 +308,4 @@ class TruncSeries:
                     acc = acc - di * coeffs[k - i]
             # dividing by +-1 is multiplication by the same unit
             coeffs.append(acc * unit)
-        return TruncSeries(order, coeffs)
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        order = min(self.order, other.order)
-        coeffs = []
-        for k in range(order + 1):
-            acc = ZERO
-            for i in range(k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            coeffs.append(acc)
         return TruncSeries(order, coeffs)

@@ -16,7 +16,7 @@ from loghilb.cli import (
     main,
 )
 from loghilb.fan import StackyFan, hilb_fan
-from loghilb.poly import ZERO, TruncSeries
+from loghilb.poly import MultiPoly, ZERO, TruncSeries
 from test_fan import pentagram_fan
 
 
@@ -131,9 +131,9 @@ def test_caps_ignore_the_environment(capsys, monkeypatch):
 
 
 def test_chow_groups_cap(capsys):
-    code, _, _ = run(capsys, "chow", "sr", "--n", "6", "--i", "6", "--groups")
+    code, _, _ = run(capsys, "chow", "sr", "--n", "7", "--i", "7", "--groups")
     assert code == EXIT_OK
-    code, _, err = run(capsys, "chow", "sr", "--n", "7", "--i", "7", "--groups")
+    code, _, err = run(capsys, "chow", "sr", "--n", "8", "--i", "8", "--groups")
     assert code == EXIT_USAGE
     assert "safety cap" in err
 
@@ -150,7 +150,8 @@ def test_chow_groups_cap(capsys):
 def test_chow_graded_jobs_take_one_marking(capsys, extra):
     # the chow cap on n was measured with one marking; a multi-marking graded
     # job at the cap would have far wider relation matrices
-    code, _, err = run(capsys, "chow", extra[0], "--n", "6", "--i", "0", *extra[1:])
+    n = str(cli.MAX_N_GROUPS)
+    code, _, err = run(capsys, "chow", extra[0], "--n", n, "--i", "0", *extra[1:])
     assert code == EXIT_USAGE
     assert "safety cap" not in err
 
@@ -481,6 +482,36 @@ def test_failed_sr_comparison_names_the_relation(capsys, monkeypatch, subcommand
     assert err == (
         "sr comparison failed: relation H*eps3_1 of degree 2 "
         "is not in the Stanley-Reisner ideal\n"
+    )
+
+
+@pytest.mark.parametrize("subcommand", SR_COMPARISONS[:2])
+def test_failed_sr_comparison_names_the_monomial_left(capsys, monkeypatch, subcommand):
+    thmd = cli.thmD_presentation
+
+    def corrupted(*args):
+        # relation 1 is H*eps3_1; H^2 maps to tau^2, which is not in the ideal
+        pres = thmd(*args)
+        relations = list(pres.relations)
+        relations[1] = relations[1] + MultiPoly.var("H") ** 2
+        return pres._replace(relations=tuple(relations))
+
+    monkeypatch.setattr(cli, "thmD_presentation", corrupted)
+    argv = ("chow", subcommand[0], "--n", "3", "--i", "1", *subcommand[1:])
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    doc = json.loads(out)
+    report = doc["report"] if subcommand[0] == "compare" else doc["sr_comparison"]
+    assert [entry["member"] for entry in report["relations"]] == [
+        True, False, True, True, True
+    ]
+    assert report["relations"][1] == {"relation": "H^2 + H*eps3_1", "member": False}
+    # the residue is written in the solved SR variables (tau, rho_3, rho_2),
+    # its terms in the order of the degree-2 monomial basis
+    assert err == (
+        "sr comparison failed: relation H^2 + H*eps3_1 of degree 2 is not in the "
+        "Stanley-Reisner ideal; the first monomial left after reduction is "
+        "-6*rho_3^2\n"
     )
 
 

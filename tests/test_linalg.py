@@ -15,10 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from loghilb.linalg import (
     det,
+    eliminate_unit_pivots,
     hermite_normal_form,
     in_row_span_z,
     invariant_factors,
     rational_solve,
+    reduced_form,
 )
 
 Matrix = List[List[int]]
@@ -353,6 +355,124 @@ def test_in_row_span_z_matches_reference(m, data):
     # invariant factors changes
     expected = len(after) == len(before) and _product(after) == _product(before)
     assert in_row_span_z(m, b) == expected
+
+
+# ---------------------------------------------------------------------------
+# the sparse reduced form against the dense kernel
+
+
+def sparse(m: Matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def naive_unit_pivots(m: Matrix):
+    """Oracle for ``eliminate_unit_pivots``: every step rescans the remaining
+    rows for the +-1 entry of least (cost, row, column)."""
+    active = dict(enumerate(sparse(m)))
+    active = {k: row for k, row in active.items() if row}
+    pivots = []
+    while True:
+        counts = {}
+        for row in active.values():
+            for j in row:
+                counts[j] = counts.get(j, 0) + 1
+        candidates = [
+            ((len(row) - 1) * (counts[j] - 1), k, j)
+            for k, row in active.items()
+            for j, x in row.items()
+            if x in (1, -1)
+        ]
+        if not candidates:
+            return pivots, [active[k] for k in sorted(active)]
+        _, k, c = min(candidates)
+        pivot = active.pop(k)
+        pivots.append((c, pivot))
+        for other in list(active):
+            row = active[other]
+            q = row.get(c, 0) * pivot[c]
+            if q:
+                for j, x in pivot.items():
+                    row[j] = row.get(j, 0) - q * x
+                    if not row[j]:
+                        del row[j]
+                if not row:
+                    del active[other]
+
+
+UNIT_HEAVY = st.sampled_from((0, 0, 0, 0, 1, 1, -1, -1, 2, -2, 3, -5))
+
+
+@st.composite
+def sparse_unit_matrices(draw, max_rows=9, max_cols=7):
+    """Sparse matrices, mostly +-1, with some zero rows; may have no rows."""
+    nrows = draw(st.integers(min_value=0, max_value=max_rows))
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    m = draw(
+        st.lists(
+            st.lists(UNIT_HEAVY, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    for i in draw(st.sets(st.integers(min_value=0, max_value=max_rows - 1))):
+        if i < nrows:
+            m[i] = [0] * ncols
+    return m, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_unit_matrices())
+def test_reduced_form_invariant_factors_match_dense(case):
+    m, ncols = case
+    assert reduced_form(sparse(m), ncols).invariant_factors() == invariant_factors(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_unit_matrices(), st.data())
+def test_reduced_form_membership_matches_dense(case, data):
+    m, ncols = case
+    coeffs = data.draw(st.lists(ENTRIES, min_size=len(m), max_size=len(m)))
+    noise = data.draw(st.lists(UNIT_HEAVY, min_size=ncols, max_size=ncols))
+    off = data.draw(st.booleans())
+    b = [
+        sum(c * row[j] for c, row in zip(coeffs, m)) + (noise[j] if off else 0)
+        for j in range(ncols)
+    ]
+    left = reduced_form(sparse(m), ncols).residue(dict(enumerate(b)))
+    assert (not left) == in_row_span_z(m, b)
+    assert all(left.values()) and list(left) == sorted(left)
+    # what was taken away lies in the row span
+    assert in_row_span_z(m, [b[j] - left.get(j, 0) for j in range(ncols)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_unit_matrices())
+def test_unit_pivots_in_markowitz_order(case):
+    m, _ = case
+    pivots, core = eliminate_unit_pivots(sparse(m))
+    assert (pivots, core) == naive_unit_pivots(m)
+    seen = []
+    for c, row in pivots:
+        assert row[c] in (1, -1) and not any(j in row for j in seen)
+        seen.append(c)
+    assert all(row and not any(j in row for j in seen) for row in core)
+
+
+def test_reduced_form_of_the_empty_matrix():
+    form = reduced_form([], 3)
+    assert form.invariant_factors() == []
+    assert form.residue({}) == {} and form.residue({0: 0}) == {}
+    assert form.residue({2: 4, 0: -1}) == {0: -1, 2: 4}
+    assert reduced_form([{}, {}], 2).invariant_factors() == []
+
+
+def test_reduced_form_keeps_torsion_in_the_core():
+    # x - y has a unit pivot; 2y stays in the core
+    form = reduced_form([{0: 1, 1: -1}, {1: 2}], 2)
+    assert len(form.pivots) == 1 and form.hermite == ((2,),)
+    assert form.invariant_factors() == [1, 2]
+    assert form.residue({0: 1}) == {1: 1}
+    assert form.residue({0: 2}) == {}
 
 
 def test_rational_solve_unique():

