@@ -172,16 +172,15 @@ class GradedPiece(NamedTuple):
 
 def minimal_nonfaces(fan: StackyFan) -> List[Tuple[int, ...]]:
     """Minimal ray subsets spanning no cone of the fan."""
-    faces = {tuple(sorted(c)) for c in fan.all_cones()}
+    faces = fan.face_masks()
     nrays = len(fan.rays)
     out: List[Tuple[int, ...]] = []
     for size in range(2, fan.dim + 2):
         for subset in itertools.combinations(range(nrays), size):
-            if subset in faces:
+            mask = sum(1 << i for i in subset)
+            if mask in faces:
                 continue
-            if all(
-                subset[:k] + subset[k + 1:] in faces for k in range(size)
-            ):
+            if all(mask ^ (1 << i) in faces for i in subset):
                 out.append(subset)
     return out
 

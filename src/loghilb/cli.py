@@ -55,8 +55,9 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
 # caps, which only --force lifts, from single runs on a shared 2-core machine with
-# Python 3.11: every fan run at n = 8 (each i, and two-sided i, i-inf in {0, 1, 4,
-# 8}) takes at most 1.8 s, and n = 9 two-sided with i, i-inf <= 1 takes 5-6.5 s;
+# Python 3.11: every fan run at n = 9 (i in {0, 1, 4, 9}, and two-sided i, i-inf
+# in the same set) takes at most 0.7 s, against 1.5-1.8 s for the slowest run at
+# n = 8 before fan checks read stored cone determinants; n = 10 takes up to 2-2.2 s;
 # every chow sr --groups, thmD --compare-sr, keel --groups and compare run takes
 # at most 0.3-0.4 s at n = 6 and at most 3.3-5.1 s at n = 7 (keel --n 7 --i 0 or
 # 1 --groups), for every i; motive --ell 3 --N 12 takes 29 s.  Graded groups are
@@ -64,7 +65,7 @@ EXIT_CHECK_FAILED = 3
 # ignore --ell), so the chow cap on n bounds every graded job; symbolic
 # multi-marking presentations print without graded groups (thmD --n 6 --ell 6
 # --curve symbolic takes 0.31 s).
-MAX_N_FAN = 8
+MAX_N_FAN = 9
 MAX_N_GROUPS = 7
 MAX_N_MOTIVE = 12
 

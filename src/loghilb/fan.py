@@ -5,17 +5,19 @@ subdivisions that model the toric degrees of freedom of length-n
 subschemes on the line relative to one or both toric fixed points.  All
 ray generators are stored primitive, so no extra stacky data is carried.
 
-Cones are stored via their maximal cones only; faces are derived on
-demand.  Fans are immutable values and all operations are pure.
+Cones are stored via their maximal cones only, each with the determinant
+of its rays; faces are derived on demand, as bitmasks over ray indices.
+Fans are immutable values and all operations are pure.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import det
+from .linalg import det, fraction_free_solve
 from .poly import MultiPoly
 
 Vector = Tuple[int, ...]
@@ -28,6 +30,17 @@ class FanError(ValueError):
 
 def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*v) == 1
+
+
+@lru_cache(maxsize=1 << 15)
+def _cone_det(vectors: Tuple[Vector, ...]) -> int:
+    """det of a maximal cone's ray vectors as rows, in sorted index order.
+
+    Memoised on the vectors, so that a star subdivision does not recompute
+    the cones it leaves unchanged.  The bound, 2**15 cones, is several times
+    the number of cones made on the way to any fan within the CLI cap.
+    """
+    return det(vectors)
 
 
 # Value classes are NamedTuples rather than dataclasses, which would import
@@ -49,7 +62,7 @@ class Ray(_RayFields):
             raise FanError(f"ray {label} has zero vector")
         if not is_primitive(vector):
             raise FanError(f"ray {label} vector {vector} is not primitive")
-        return super().__new__(cls, label, vector)
+        return super().__new__(cls, label, tuple(vector))
 
 
 class StackyFan:
@@ -57,25 +70,32 @@ class StackyFan:
 
     ``max_cones`` holds frozensets of indices into ``rays``.  Rays keep
     insertion order and cones are kept sorted for deterministic output.
+    ``cone_dets`` maps each maximal cone to the determinant of its ray
+    vectors as rows in sorted index order, which the constructor computes
+    to check that the cone is full-dimensional.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "_census", "_facet_opposites")
+    __slots__ = ("dim", "rays", "max_cones", "cone_dets", "_faces", "_facet_opposites")
 
     def __init__(self, dim: int, rays: Sequence[Ray], max_cones):
         self.dim = dim
         self.rays = tuple(rays)
         cones = [frozenset(c) for c in max_cones]
         self.max_cones = tuple(sorted(cones, key=lambda c: sorted(c)))
-        self._census: Optional[Tuple[int, ...]] = None
+        self._faces: Optional[FrozenSet[int]] = None
         self._facet_opposites: Optional[FacetMap] = None
         for ray in self.rays:
             if len(ray.vector) != dim:
                 raise FanError("ray dimension mismatch")
+        dets: Dict[FrozenSet[int], int] = {}
         for cone in self.max_cones:
             if len(cone) != dim:
                 raise FanError("maximal cone is not full-dimensional")
-            if det([list(self.rays[i].vector) for i in sorted(cone)]) == 0:
+            d = _cone_det(tuple(self.rays[i].vector for i in sorted(cone)))
+            if d == 0:
                 raise FanError("maximal cone rays are linearly dependent")
+            dets[cone] = d
+        self.cone_dets: Mapping[FrozenSet[int], int] = MappingProxyType(dets)
 
     # -- queries -------------------------------------------------------
 
@@ -89,23 +109,37 @@ class StackyFan:
     def labels(self, cone) -> Tuple[str, ...]:
         return tuple(self.rays[i].label for i in sorted(cone))
 
+    def face_masks(self) -> FrozenSet[int]:
+        """Every cone as a bitmask over ray indices (bit i for ray i), the
+        origin (0) included, enumerated on the first call only."""
+        if self._faces is None:
+            self._faces = self._build_face_masks()
+        return self._faces
+
+    def _build_face_masks(self) -> FrozenSet[int]:
+        # the sub-bitmasks of each maximal cone, by (sub - 1) & mask
+        faces = {0}
+        for cone in self.max_cones:
+            mask = sum(1 << i for i in cone)
+            sub = mask
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & mask
+        return frozenset(faces)
+
     def all_cones(self) -> FrozenSet[FrozenSet[int]]:
         """All faces of all maximal cones, including the origin (empty set)."""
-        seen = {frozenset()}
-        for cone in self.max_cones:
-            idx = sorted(cone)
-            for mask in range(1, 1 << len(idx)):
-                seen.add(frozenset(idx[i] for i in range(len(idx)) if mask >> i & 1))
-        return frozenset(seen)
+        return frozenset(
+            frozenset(i for i in range(m.bit_length()) if m >> i & 1)
+            for m in self.face_masks()
+        )
 
     def census(self) -> Tuple[int, ...]:
-        """Number of cones of each dimension, counted on the first call only."""
-        if self._census is None:
-            counts = [0] * (self.dim + 1)
-            for cone in self.all_cones():
-                counts[len(cone)] += 1
-            self._census = tuple(counts)
-        return self._census
+        """Number of cones of each dimension."""
+        counts = [0] * (self.dim + 1)
+        for mask in self.face_masks():
+            counts[mask.bit_count()] += 1
+        return tuple(counts)
 
     def facet_opposites(self) -> FacetMap:
         """Read-only map of each facet (a maximal cone minus one ray) to its
@@ -130,14 +164,14 @@ class StackyFan:
         return all(len(o) == 2 for o in self.facet_opposites().values())
 
     def _coordinate_signs(self, cone, v: Sequence[int]) -> Tuple[List[int], List[int]]:
-        """A full cone's sorted ray indices and, per ray, det(rows with that ray
-        replaced by v) * det(rows): by Cramer, the sign of v's coordinate."""
+        """A full cone's sorted ray indices and, per ray, d * (d * x_j), where
+        x holds v's coordinates in the cone's rays and d is the determinant of
+        those rays: the sign of x_j.  One ``fraction_free_solve`` gives d and
+        every Cramer numerator d * x_j."""
         idx = sorted(cone)
-        rows = [list(self.rays[i].vector) for i in idx]
-        d = det(rows)
-        return idx, [
-            det(rows[:j] + [list(v)] + rows[j + 1:]) * d for j in range(len(rows))
-        ]
+        columns = zip(*(self.rays[i].vector for i in idx))
+        d, numerators = fraction_free_solve(columns, v)
+        return idx, [d * x for x in numerators]
 
     def contains_in_cone(self, cone, v: Sequence[int]) -> bool:
         _, signs = self._coordinate_signs(cone, v)
@@ -145,6 +179,12 @@ class StackyFan:
 
     def _cone_name(self, cone) -> str:
         return "{" + ", ".join(self.labels(cone)) + "}"
+
+    def _side(self, facet: FrozenSet[int], u: int) -> int:
+        """det(rows of facet in sorted order, then ray u), from the stored
+        determinant of the maximal cone facet with u."""
+        d = self.cone_dets[facet | {u}]
+        return -d if sum(1 for f in facet if f > u) % 2 else d
 
     def fan_defect(self) -> Optional[str]:
         """Decide by local determinant signs whether the maximal cones form a fan.
@@ -176,9 +216,12 @@ class StackyFan:
         needed: five plane cones can wind twice around the origin and pass
         every facet test.
 
-        Cost: two determinants per facet and (cones - 1) cone-membership
-        tests of dim + 1 determinants each, against the O(cones^2) membership
-        tests of the test oracle ``check_intersections_are_faces``.
+        Cost: no new determinant for condition 2.  ``det(F + [u])`` is the
+        stored determinant of the maximal cone F with u, times -1 for each
+        ray of F above u (the row swaps that move u's row to the end).
+        Condition 3 takes (cones - 1) cone-membership tests of one
+        ``fraction_free_solve`` each, against the O(cones^2) membership tests
+        of the test oracle ``check_intersections_are_faces``.
         """
         if not self.max_cones:
             return "there are no maximal cones"
@@ -188,11 +231,8 @@ class StackyFan:
                     f"facet {self._cone_name(facet)} bounds {len(opposite)} "
                     "of the maximal cones, not 2"
                 )
-            rows = [list(self.rays[i].vector) for i in sorted(facet)]
             u, w = opposite
-            side_u = det(rows + [list(self.rays[u].vector)])
-            side_w = det(rows + [list(self.rays[w].vector)])
-            if side_u * side_w >= 0:
+            if self._side(facet, u) * self._side(facet, w) >= 0:
                 return (
                     f"rays {self.rays[u].label} and {self.rays[w].label} lie on "
                     f"the same side of facet {self._cone_name(facet)}"

@@ -14,6 +14,11 @@ in Markowitz order, and the dense kernel runs only on the remaining core
 (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  The form answers
 invariant factors and row-span membership without a further Hermite form.
 
+Square systems have one fraction-free (Bareiss) elimination, which serves
+both ``det`` and ``fraction_free_solve``: one pass over ``[m | b]`` gives
+the determinant and every Cramer numerator at once.  The fan layer decides
+cone membership from those numerators' signs.
+
 ``in_row_span_z`` (a Hermite form per query) and ``rational_solve``
 (Cramer's rule over ``Fraction``, imported on call) are test oracles; they
 stay here because ``bench/spans.py`` traces them by name.
@@ -44,17 +49,21 @@ def _as_lists(m) -> Matrix:
     return [list(map(int, row)) for row in m]
 
 
-def det(m) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    a = _as_lists(m)
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant of a non-square matrix")
+def _bareiss(a: Matrix, n: int) -> int:
+    """Fraction-free elimination of the first n columns of the n-row matrix a,
+    in place, with row swaps; later columns ride along.
+
+    Returns the sign of the row permutation, or 0 when the leading n x n
+    block is singular.  Afterwards a[k][j] (j >= k) is a minor of the
+    permuted matrix: rows 0..k and columns 0..k-1 and j.  So a[n-1][n-1] is
+    the permuted block's determinant, and an extra column j holds that
+    determinant with the last block column replaced by column j (Bareiss,
+    Math. Comp. 22, 1968).  Every division is exact.
+    """
+    width = len(a[0]) if n else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -63,12 +72,53 @@ def det(m) -> int:
                     break
             else:
                 return 0
+        pivot = a[k]
+        p = pivot[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            q = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * p - q * pivot[j]) // prev
+            row[k] = 0
+        prev = p
+    return sign
+
+
+def det(m) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    a = _as_lists(m)
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant of a non-square matrix")
+    return _bareiss(a, n) * a[n - 1][n - 1]
+
+
+def fraction_free_solve(m, b: Sequence[int]) -> Tuple[int, List[int]]:
+    """Solve the square integer system m*x = b without fractions.
+
+    Returns ``(d, [d*x_j])`` with d = det(m), so that each ``d*x_j`` is the
+    Cramer numerator det(m with column j replaced by b); returns ``(0, [])``
+    when m is singular.  One Bareiss pass over ``[m | b]`` and an integer
+    back-substitution give every numerator at once, in place of the n + 1
+    determinants of Cramer's rule.
+    """
+    rows = _as_lists(m)
+    n = len(rows)
+    if len(b) != n or any(len(r) != n for r in rows):
+        raise ValueError("dimension mismatch")
+    a = [row + [int(x)] for row, x in zip(rows, b)]
+    sign = _bareiss(a, n)
+    if sign == 0:
+        return 0, []
+    d = a[n - 1][n - 1] if n else 1
+    # y_j = d * x_j for the permuted system, which has the same solution
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return sign * d, [sign * v for v in y]
 
 
 def hermite_normal_form(m) -> Matrix:
@@ -311,8 +361,9 @@ def rational_solve(a, b: Sequence[int]) -> List[Fraction]:
     """Solve the square integer system A*x = b exactly by Cramer's rule.
 
     Raises ValueError when A is singular or the shapes do not match.  Test
-    oracle for ``StackyFan.contains_in_cone`` and ``fan.minimal_cone``; it
-    stays in ``src/`` because ``bench/spans.py`` traces it by name.
+    oracle for ``fraction_free_solve``, ``StackyFan.contains_in_cone`` and
+    ``fan.minimal_cone``; it stays in ``src/`` because ``bench/spans.py``
+    traces it by name.
     ``Fraction`` is imported on call, so importing this module does not
     load ``fractions`` and ``decimal``.
     """

@@ -113,12 +113,12 @@ def test_fan_motive_palindromic_check(capsys):
 
 
 def test_fan_cap_and_force(capsys):
-    code, _, err = run(capsys, "fan", "--n", "9", "--i", "1")
+    code, _, err = run(capsys, "fan", "--n", "10", "--i", "1")
     assert code == EXIT_USAGE
     assert err == (
-        "error: fan: n = 9 exceeds the safety cap 8 (pass --force to override)\n"
+        "error: fan: n = 10 exceeds the safety cap 9 (pass --force to override)\n"
     )
-    code, _, _ = run(capsys, "fan", "--n", "9", "--i", "9", "--force")
+    code, _, _ = run(capsys, "fan", "--n", "10", "--i", "10", "--force")
     assert code == EXIT_OK
 
 

@@ -67,14 +67,15 @@ def test_projective_fan_basics():
 def test_census_counts_the_cones_once(monkeypatch):
     fan = hilb_fan(3, 1)
     calls = []
-    all_cones = StackyFan.all_cones
+    build = StackyFan._build_face_masks
 
     def counted(self):
         calls.append(self)
-        return all_cones(self)
+        return build(self)
 
-    monkeypatch.setattr(StackyFan, "all_cones", counted)
+    monkeypatch.setattr(StackyFan, "_build_face_masks", counted)
     assert fan.census() == fan.census() == expected_product_census(3)
+    assert len(fan.all_cones()) == sum(expected_product_census(3))
     assert calls == [fan]
 
 
@@ -357,10 +358,44 @@ def test_fan_defect_agrees_with_pairwise_oracle(n):
         assert fan.check_intersections_are_faces()
 
 
-@pytest.mark.parametrize("n", (5, 6))
+@lru_cache(maxsize=None)
+def larger_hilb_fans(n):
+    """Every one-sided fan, and below n = 7 the two-sided fans with i, i-inf
+    in {0, 1, n}."""
+    fans = [hilb_fan(n, i) for i in range(n + 1)]
+    if n < 7:
+        fans += [hilb_fan_two_sided(n, i, j) for i in (0, 1, n) for j in (0, 1, n)]
+    return fans
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
 def test_fan_defect_accepts_hilb_fans(n):
-    for i in range(n + 1):
-        assert hilb_fan(n, i).fan_defect() is None
+    for fan in larger_hilb_fans(n):
+        assert fan.fan_defect() is None
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_census_counts_all_cones(n):
+    for fan in larger_hilb_fans(n):
+        counts = [0] * (n + 1)
+        for cone in fan.all_cones():
+            counts[len(cone)] += 1
+        assert fan.census() == tuple(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_stored_cone_determinants(n):
+    for fan in oracle_fans(n):
+        assert set(fan.cone_dets) == set(fan.max_cones)
+        for cone in fan.max_cones:
+            rows = [list(fan.rays[i].vector) for i in sorted(cone)]
+            assert fan.cone_dets[cone] == linalg.det(rows) != 0
+        # the facet test's sides, read from those determinants
+        for facet, opposite in fan.facet_opposites().items():
+            rows = [list(fan.rays[i].vector) for i in sorted(facet)]
+            for u in opposite:
+                side = linalg.det(rows + [list(fan.rays[u].vector)])
+                assert fan._side(facet, u) == side
 
 
 def test_facet_opposites_bound_two_cones():

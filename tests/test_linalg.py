@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from loghilb.linalg import (
     det,
     eliminate_unit_pivots,
+    fraction_free_solve,
     hermite_normal_form,
     in_row_span_z,
     invariant_factors,
@@ -212,6 +213,71 @@ def test_det_small():
 def test_det_non_square_raises():
     with pytest.raises(ValueError):
         det([[1, 2, 3], [4, 5, 6]])
+
+
+def cofactor_det(m) -> int:
+    """Determinant by cofactor expansion along the first row (oracle)."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(), st.data())
+def test_det_matches_cofactor_expansion(a, data):
+    # half the draws get a dependent last row, so zero pivots and singular
+    # matrices are common
+    n = len(a)
+    if n >= 2 and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(ENTRIES, min_size=n - 1, max_size=n - 1))
+        a[-1] = [sum(c * a[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
+    assert det(a) == cofactor_det(a)
+
+
+def test_det_with_zero_leading_pivots():
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det([[0, 2], [0, 3]]) == 0
+    assert det([]) == 1
+
+
+def test_fraction_free_solve_small():
+    # 2x + y = 5, x - y = 1: x = 2, y = 1, det = -3
+    assert fraction_free_solve([[2, 1], [1, -1]], [5, 1]) == (-3, [-6, -3])
+    # a zero leading pivot needs a row swap
+    assert fraction_free_solve([[0, 1], [1, 0]], [3, 4]) == (-1, [-4, -3])
+    assert fraction_free_solve([[1, 1], [1, 1]], [1, 2]) == (0, [])
+    with pytest.raises(ValueError):
+        fraction_free_solve([[1, 1]], [1])
+    with pytest.raises(ValueError):
+        fraction_free_solve([[1, 0], [0, 1]], [1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(), st.data())
+def test_fraction_free_solve_matches_rational_solve(a, data):
+    n = len(a)
+    b = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    d, numerators = fraction_free_solve(a, b)
+    assert d == det(a)
+    if d == 0:
+        assert numerators == []
+        return
+    assert [Fraction(y, d) for y in numerators] == rational_solve(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(), st.data())
+def test_fraction_free_solve_singular(a, data):
+    n = len(a)
+    assume(n >= 2)
+    coeffs = data.draw(st.lists(ENTRIES, min_size=n - 1, max_size=n - 1))
+    a[-1] = [sum(c * a[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
+    b = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    assert fraction_free_solve(a, b) == (0, [])
 
 
 def test_int_matrix_wrapper():
