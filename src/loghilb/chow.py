@@ -12,7 +12,9 @@ of points on the line are implemented:
 
 Graded pieces and ideal membership are computed after the degree-1
 relations with a unit coefficient are solved (``_solved``), an exact
-isomorphism of graded Z-algebras.  The sparse relation matrix of each degree
+isomorphism of graded Z-algebras.  That linear solve is the reduced form of
+the degree-1 relations: its pivot columns are the eliminated variables, and
+each one's residue is its image.  The sparse relation matrix of each degree
 is then brought once to a ``linalg.ReducedForm`` (``_reduced``): its +-1
 pivots are eliminated in Markowitz order and only the remaining core gets a
 dense Hermite form.  Graded pieces come from the form's invariant factors,
@@ -229,18 +231,10 @@ def monomial_exponents(nvars: int, degree: int) -> List[Tuple[int, ...]]:
 
 
 def _embed_terms(p: MultiPoly, var_order: Sequence[str]) -> Dict[Tuple[int, ...], int]:
-    positions = []
     for v in p.vars:
         if v not in var_order:
             raise PresentationError(f"relation variable {v!r} not in the ring")
-        positions.append(var_order.index(v))
-    out: Dict[Tuple[int, ...], int] = {}
-    for exp, c in p.terms.items():
-        full = [0] * len(var_order)
-        for pos, e in zip(positions, exp):
-            full[pos] = e
-        out[tuple(full)] = c
-    return out
+    return p.embedded(var_order)
 
 
 def _relation_rows(
@@ -280,54 +274,55 @@ def _apply(p: MultiPoly, substitution: Mapping[str, MultiPoly]) -> MultiPoly:
     return p.specialize({v: substitution.get(v, MultiPoly.var(v)) for v in p.vars})
 
 
+def _row_poly(
+    variables: Sequence[str], basis: Sequence[Tuple[int, ...]], row: Mapping[int, int]
+) -> MultiPoly:
+    """The polynomial whose coefficient on ``basis[j]`` is ``row[j]``."""
+    return MultiPoly(variables, {basis[j]: c for j, c in row.items()})
+
+
 @functools.lru_cache(maxsize=128)
 def _solved(
     pres: GradedPresentation,
 ) -> Tuple[GradedPresentation, Mapping[str, MultiPoly]]:
     """The presentation with its unit-coefficient linear relations solved.
 
-    While some degree-1 relation has a variable with coefficient +-1, that
-    variable is substituted away in every other relation and in the
-    substitution so far; relations that become zero are dropped.  A linear
-    relation with no unit coefficient stays a relation.  Solving a relation
-    +-x + rest = 0 for x is an isomorphism of graded Z-algebras (for the SR
-    ring, the Jurkiewicz-Danilov presentation with its linear forms solved),
-    so graded pieces, torsion included, and ideal membership are unchanged.
+    The linear solve is the reduced form of the degree-1 relations
+    (``reduced_form``): the variable of each pivot column is eliminated, and
+    its image is that variable's residue, in the surviving variables.  The
+    core's Hermite rows stay as linear relations, followed by every other
+    relation pushed through the substitution, in order; relations that
+    become zero are dropped.  Solving a relation +-x + rest = 0 for x is an
+    isomorphism of graded Z-algebras (for the SR ring, the Jurkiewicz-Danilov
+    presentation with its linear forms solved), so graded pieces, torsion
+    included, and ideal membership are unchanged.
 
     Returns the presentation over Z on the surviving variables, the base
     ring's relations included, and the map {eliminated variable: image}.
     """
-    variables = list(pres.variables())
-    relations = []
-    for rel in pres.all_relations():
+    relations = [rel for rel in pres.all_relations() if not rel.is_zero()]
+    for rel in relations:
         if not rel.is_homogeneous():
             raise PresentationError(f"inhomogeneous relation {rel.to_string()!r}")
-        if not rel.is_zero():
-            relations.append(rel)
-    substitution: Dict[str, MultiPoly] = {}
-    while True:
-        pivot = next(
-            (
-                (k, rel.vars[exp.index(1)], c)
-                for k, rel in enumerate(relations)
-                if rel.degree() == 1
-                for exp, c in rel.terms.items()
-                if abs(c) == 1 and rel.vars[exp.index(1)] in variables
-            ),
-            None,
-        )
-        if pivot is None:
-            break
-        k, name, c = pivot
-        # rel = c*x + rest with c = +-1, so x = -c * rest = x - c * rel
-        image = MultiPoly.var(name) - c * relations.pop(k)
-        step = {name: image}
-        relations = [r for r in (_apply(r, step) for r in relations) if not r.is_zero()]
-        substitution = {v: _apply(p, step) for v, p in substitution.items()}
-        substitution[name] = image
-        variables.remove(name)
+    variables = pres.variables()
+    linear = tuple(rel for rel in relations if rel.degree() == 1)
+    basis, rows = _relation_rows(
+        GradedPresentation(BaseRing.integers(), variables, linear, 1), 1
+    )
+    form = reduced_form(rows, len(basis))
+    substitution = {
+        variables[c]: _row_poly(variables, basis, form.residue({c: 1}))
+        for c, _ in form.pivots
+    }
+    kept = [
+        _row_poly(variables, basis, dict(zip(form.core_columns, row)))
+        for row in form.hermite
+    ]
+    images = (_apply(rel, substitution) for rel in relations if rel.degree() != 1)
+    kept += [image for image in images if not image.is_zero()]
+    survivors = tuple(v for v in variables if v not in substitution)
     reduced = GradedPresentation(
-        BaseRing.integers(), tuple(variables), tuple(relations), pres.top_degree
+        BaseRing.integers(), survivors, tuple(kept), pres.top_degree
     )
     return reduced, MappingProxyType(substitution)
 
@@ -389,8 +384,7 @@ def ideal_residue(pres: GradedPresentation, poly: MultiPoly) -> MultiPoly:
     target = {
         index[exp]: c for exp, c in _embed_terms(image, reduced.variables()).items()
     }
-    left = form.residue(target)
-    return MultiPoly(reduced.variables(), {basis[j]: c for j, c in left.items()})
+    return _row_poly(reduced.variables(), basis, form.residue(target))
 
 
 def ideal_member(pres: GradedPresentation, poly: MultiPoly) -> bool:
@@ -471,9 +465,7 @@ def q_for_levels(
     shift = n_top - m
     uppers = [eps_name(shift + h + j, r) for j in range(1, m - h + 1)]
     q = q_polynomial(m, h, "_t", uppers, base.c1_name(r))
-    sub: Dict[str, MultiPoly] = {v: MultiPoly.var(v) for v in q.vars}
-    sub["_t"] = -MultiPoly.var(eps_name(shift + h, r))
-    return q.specialize(sub)
+    return _apply(q, {"_t": -MultiPoly.var(eps_name(shift + h, r))})
 
 
 def _level_relations(
@@ -549,7 +541,7 @@ def keel_step(
     )
 
 
-def iterated_keel(n: int, i: int, base: BaseRing, r: int = 1) -> GradedPresentation:
+def iterated_keel(n: int, i: int, base: BaseRing) -> GradedPresentation:
     """Single-marking presentation built one weighted blow-up at a time.
 
     At the step adjoining the level-j generator the kernel of restriction
@@ -560,11 +552,11 @@ def iterated_keel(n: int, i: int, base: BaseRing, r: int = 1) -> GradedPresentat
     pres = GradedPresentation(base, (), (), n)
     for j in blowup_levels(n, i):
         m = n - j
-        ker: List[MultiPoly] = list(base.kernel_generators(m, r))
+        ker: List[MultiPoly] = list(base.kernel_generators(m, 1))
         for jp in range(m, 0, -1):
-            ker.extend(_level_relations(n, m, jp, r, base))
-        q = q_for_levels(n, n, j, r, base)
-        pres = keel_step(pres, ker, q, eps_name(j, r))
+            ker.extend(_level_relations(n, m, jp, 1, base))
+        q = q_for_levels(n, n, j, 1, base)
+        pres = keel_step(pres, ker, q, eps_name(j))
     return pres
 
 

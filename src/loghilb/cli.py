@@ -161,21 +161,20 @@ def cmd_fan(args: argparse.Namespace) -> Result:
     checks: Dict[str, bool] = {}
     if args.markings == "0":
         fan = hilb_fan(args.n, args.i)
-        motive = fan_motive(fan)
     else:
         i_inf = args.i_inf if args.i_inf is not None else args.i
         if not 0 <= i_inf <= args.n:
             raise UsageError("fan: need 0 <= i-inf <= n")
         fan = hilb_fan_two_sided(args.n, args.i, i_inf)
-        motive = fan_motive(fan)
-        if args.i == i_inf == 1:
-            # the motive of the fully subdivided two-marking fan must agree
-            # with the two-marking generating function, in particular at L=1
-            expected = closed_form(MOTIVIC_P1, 2, args.n).coeffs[args.n]
-            checks["motive_matches_two_marking_series"] = motive == expected
-            euler = sum(motive.terms.values())
-            expected_euler = sum(expected.terms.values())
-            checks["euler_characteristic"] = euler == expected_euler
+    motive = fan_motive(fan)
+    if args.markings != "0" and args.i == i_inf == 1:
+        # the motive of the fully subdivided two-marking fan must agree
+        # with the two-marking generating function, in particular at L=1
+        expected = closed_form(MOTIVIC_P1, 2, args.n).coeffs[args.n]
+        checks["motive_matches_two_marking_series"] = motive == expected
+        euler = sum(motive.terms.values())
+        expected_euler = sum(expected.terms.values())
+        checks["euler_characteristic"] = euler == expected_euler
     checks["complete"] = fan.is_complete()
     defect = fan.fan_defect()
     checks["intersections_are_faces"] = defect is None

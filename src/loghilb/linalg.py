@@ -13,6 +13,8 @@ Sparse relation matrices, mostly +-1, are first brought to a
 in Markowitz order, and the dense kernel runs only on the remaining core
 (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  The form answers
 invariant factors and row-span membership without a further Hermite form.
+It also serves the Chow layer's linear solve: the pivots of the degree-1
+form are the variables to eliminate, and their residues are their images.
 
 Square systems have one fraction-free (Bareiss) elimination, which serves
 both ``det`` and ``fraction_free_solve``: one pass over ``[m | b]`` gives

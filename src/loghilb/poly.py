@@ -40,6 +40,16 @@ def _canonicalize(
     return final_vars, final_terms
 
 
+def _times(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> Dict[Exponent, int]:
+    """Product of two term maps over the same variable list."""
+    out: Dict[Exponent, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return out
+
+
 class MultiPoly:
     """Immutable sparse polynomial with integer coefficients."""
 
@@ -90,18 +100,19 @@ class MultiPoly:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         merged = tuple(sorted(set(self.vars) | set(other.vars)))
+        return merged, self.embedded(merged), other.embedded(merged)
 
-        def remap(p: "MultiPoly") -> Dict[Exponent, int]:
-            pos = [merged.index(v) for v in p.vars]
-            out: Dict[Exponent, int] = {}
-            for exp, c in p.terms.items():
-                new = [0] * len(merged)
-                for i, e in zip(pos, exp):
-                    new[i] = e
-                out[tuple(new)] = c
-            return out
-
-        return merged, remap(self), remap(other)
+    def embedded(self, variables: Sequence[str]) -> Dict[Exponent, int]:
+        """The terms, with exponents re-indexed onto a variable list that
+        contains every variable of self."""
+        pos = [variables.index(v) for v in self.vars]
+        out: Dict[Exponent, int] = {}
+        for exp, c in self.terms.items():
+            new = [0] * len(variables)
+            for i, e in zip(pos, exp):
+                new[i] = e
+            out[tuple(new)] = c
+        return out
 
     @staticmethod
     def _coerce(value) -> "MultiPoly":
@@ -133,12 +144,7 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         merged, a, b = self._aligned(other)
-        out: Dict[Exponent, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                out[exp] = out.get(exp, 0) + c1 * c2
-        return MultiPoly(merged, out)
+        return MultiPoly(merged, _times(a, b))
 
     __rmul__ = __mul__
 
@@ -167,30 +173,10 @@ class MultiPoly:
         if missing:
             raise KeyError(f"no substitution for variables {missing}")
         subs = [self._coerce(substitution[v]) for v in self.vars]
-        names = sorted({v for s in subs for v in s.vars})
-        position = {v: k for k, v in enumerate(names)}
+        names = tuple(sorted({v for s in subs for v in s.vars}))
         const_exp = (0,) * len(names)
-
-        def remap(p: "MultiPoly") -> Dict[Exponent, int]:
-            pos = [position[v] for v in p.vars]
-            out: Dict[Exponent, int] = {}
-            for exp, c in p.terms.items():
-                new = list(const_exp)
-                for k, e in zip(pos, exp):
-                    new[k] = e
-                out[tuple(new)] = c
-            return out
-
-        def times(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> Dict[Exponent, int]:
-            out: Dict[Exponent, int] = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    exp = tuple(x + y for x, y in zip(e1, e2))
-                    out[exp] = out.get(exp, 0) + c1 * c2
-            return out
-
         # powers[k][e - 1] is the e-th power of the k-th image
-        powers = [[remap(s)] for s in subs]
+        powers = [[s.embedded(names)] for s in subs]
         total: Dict[Exponent, int] = {}
         for exp, c in self.terms.items():
             term = {const_exp: c}
@@ -198,8 +184,8 @@ class MultiPoly:
                 if e:
                     cached = powers[k]
                     while len(cached) < e:
-                        cached.append(times(cached[-1], cached[0]))
-                    term = times(term, cached[e - 1])
+                        cached.append(_times(cached[-1], cached[0]))
+                    term = _times(term, cached[e - 1])
             for key, value in term.items():
                 total[key] = total.get(key, 0) + value
         return MultiPoly(names, total)

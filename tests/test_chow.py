@@ -1,6 +1,7 @@
 """Tests for the Chow-ring presentations and their graded groups."""
 
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -485,8 +486,128 @@ def test_ideal_member_matches_unreduced_oracle(case):
     assert ideal_member(pres, poly) == expected
 
 
+def solved_by_pivot_search(pres):
+    """Oracle for ``_solved``: while some degree-1 relation has a variable
+    with coefficient +-1, that variable is substituted away in every other
+    relation and in the substitution so far; relations that become zero are
+    dropped, and a linear relation with no unit coefficient stays."""
+    variables = list(pres.variables())
+    relations = []
+    for rel in pres.all_relations():
+        if not rel.is_homogeneous():
+            raise PresentationError(f"inhomogeneous relation {rel.to_string()!r}")
+        if not rel.is_zero():
+            relations.append(rel)
+    substitution = {}
+    while True:
+        pivot = next(
+            (
+                (k, rel.vars[exp.index(1)], c)
+                for k, rel in enumerate(relations)
+                if rel.degree() == 1
+                for exp, c in rel.terms.items()
+                if abs(c) == 1 and rel.vars[exp.index(1)] in variables
+            ),
+            None,
+        )
+        if pivot is None:
+            break
+        k, name, c = pivot
+        # rel = c*x + rest with c = +-1, so x = -c * rest = x - c * rel
+        image = MultiPoly.var(name) - c * relations.pop(k)
+        step = {name: image}
+        relations = [chow._apply(r, step) for r in relations]
+        relations = [r for r in relations if not r.is_zero()]
+        substitution = {v: chow._apply(p, step) for v, p in substitution.items()}
+        substitution[name] = image
+        variables.remove(name)
+    reduced = GradedPresentation(
+        BaseRing.integers(), tuple(variables), tuple(relations), pres.top_degree
+    )
+    return reduced, MappingProxyType(substitution)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_solved_matches_pivot_search_oracle(n):
+    base = BaseRing.p1(n)
+    for i in range(0, n + 1):
+        for pres in (
+            sr_presentation(hilb_fan(n, i)),
+            thmD_presentation(n, [i], base),
+            iterated_keel(n, i, base),
+        ):
+            reduced, substitution = _solved(pres)
+            expected, expected_substitution = solved_by_pivot_search(pres)
+            assert reduced == expected
+            assert list(substitution.items()) == list(expected_substitution.items())
+
+
+@st.composite
+def small_presentations(draw):
+    """Presentations over Z on 2 to 4 variables: linear relations with and
+    without a unit coefficient, constants and quadratics."""
+    names = ("a", "b", "c", "d")[: draw(st.integers(min_value=2, max_value=4))]
+    coefficient = st.integers(min_value=-4, max_value=4)
+    kinds = st.sampled_from(("unit", "linear", "linear", "constant", "quadratic"))
+    relations = []
+    for kind in draw(st.lists(kinds, max_size=4)):
+        if kind == "constant":
+            relations.append(MultiPoly.const(draw(st.sampled_from((2, 3, -4, 6)))))
+            continue
+        degree = 2 if kind == "quadratic" else 1
+        basis = chow.monomial_exponents(len(names), degree)
+        size = len(basis)
+        coefficients = draw(st.lists(coefficient, min_size=size, max_size=size))
+        if kind == "linear":
+            # no unit coefficient
+            coefficients = [2 * c for c in coefficients]
+        elif kind == "unit":
+            unit = draw(st.sampled_from((1, -1)))
+            coefficients[draw(st.integers(0, size - 1))] = unit
+        relations.append(MultiPoly(names, dict(zip(basis, coefficients))))
+    top = draw(st.integers(min_value=1, max_value=3))
+    return GradedPresentation(BaseRing.integers(), names, tuple(relations), top)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_presentations(), st.data())
+def test_solved_presentations_match_unsolved_matrices(pres, data):
+    for d in range(pres.top_degree + 1):
+        assert graded_group(pres, d) == oracle_piece(pres, d)
+    degree = data.draw(st.integers(min_value=0, max_value=pres.top_degree))
+    basis, rows = dense_relation_rows(pres, degree)
+    if rows and data.draw(st.booleans()):
+        # an integer combination of (relation x monomial) rows: in the ideal
+        weights = data.draw(
+            st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows))
+        )
+        target = [sum(w * row[j] for w, row in zip(weights, rows))
+                  for j in range(len(basis))]
+    else:
+        target = data.draw(
+            st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+        )
+    poly = MultiPoly(pres.variables(), dict(zip(basis, target)))
+    assert ideal_member(pres, poly) == in_row_span_z(rows, target)
+
+
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
+
+
+def test_constant_relation_gives_torsion_in_every_degree():
+    # the degree-1 multiples of the constant 2 must not replace the constant
+    pres = GradedPresentation(BaseRing.integers(), ("x",), (MultiPoly.const(2),), 1)
+    assert graded_groups(pres) == [GradedPiece(0, 0, (2,)), GradedPiece(1, 0, (2,))]
+
+
+def test_inhomogeneous_relation_is_refused_before_solving():
+    # substituting x = y would turn the second relation into y^2
+    pres = GradedPresentation(
+        BaseRing.integers(), ("x", "y"), (X - Y, X ** 2 + X - Y), 2
+    )
+    with pytest.raises(PresentationError, match="inhomogeneous"):
+        _solved(pres)
 
 
 def test_linear_relation_without_unit_coefficient_stays():

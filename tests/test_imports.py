@@ -1,4 +1,5 @@
-"""Every name a loghilb module imports is used in that module."""
+"""Every name a loghilb module imports is used in that module, and every
+private function or method of the package is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,61 @@ def test_every_import_is_used(path):
 def test_unused_import_is_found():
     source = "from typing import Dict, List\nimport os.path\nx: List[int] = []\n"
     assert unused_imports(source) == ["Dict (line 1)", "os (line 2)"]
+
+
+def unreferenced_private_functions(sources):
+    """Private module-level functions and ``_methods`` of the given sources
+    {file name: source} that no code outside their own body names."""
+    definitions = []
+    references = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [tree.body] + [c.body for c in tree.body if isinstance(c, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")
+                ):
+                    definitions.append((name, node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((name, node.attr, node.lineno))
+    return sorted(
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, node in definitions
+        if not any(
+            ident == node.name
+            and not (where == name and node.lineno <= line <= node.end_lineno)
+            for where, ident, line in references
+        )
+    )
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_unreferenced_private_function_is_found():
+    helpers = (
+        "def _used():\n    return 1\n"
+        "def _unused():\n    return 2\n"
+        "def _recursive(k):\n    return _recursive(k - 1) if k else 0\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+    )
+    users = (
+        "from helpers import _used\n"
+        "class A:\n"
+        "    def __init__(self):\n        self._called()\n"
+        "    def _called(self):\n        return _used()\n"
+        "    def _idle(self):\n        return 0\n"
+    )
+    assert unreferenced_private_functions({"helpers.py": helpers, "users.py": users}) == [
+        "helpers.py: _recursive (line 5)",
+        "helpers.py: _unused (line 3)",
+        "users.py: _idle (line 7)",
+    ]

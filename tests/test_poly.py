@@ -257,3 +257,54 @@ def test_specialize_matches_term_by_term(p, images):
     assert result == expected
     assert result.vars == expected.vars
     assert all(c != 0 for c in result.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sparse_polys(3, 5),
+    st.permutations(VARIABLES + ("d", "z")),
+    st.integers(min_value=0, max_value=2),
+)
+def test_embedded_round_trips(p, order, extra):
+    # any variable list that contains p.vars, in any order, with extra names
+    order = tuple(v for v in order if v in p.vars or v in ("d", "z")[:extra])
+    terms = p.embedded(order)
+    assert all(len(exp) == len(order) for exp in terms)
+    assert MultiPoly(order, terms) == p
+
+
+def product_by_names(p: MultiPoly, q: MultiPoly):
+    """Oracle for ``MultiPoly.__mul__``: a double loop over the terms, with
+    each monomial kept as a map {variable: exponent}."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            mono = dict(zip(p.vars, e1))
+            for v, e in zip(q.vars, e2):
+                mono[v] = mono.get(v, 0) + e
+            key = frozenset((v, e) for v, e in mono.items() if e)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def by_names(p: MultiPoly):
+    return {frozenset((v, e) for v, e in zip(p.vars, exp) if e): c
+            for exp, c in p.terms.items()}
+
+
+def polys_over_some_variables(max_exponent, max_terms):
+    """Polynomials over a random subset of ``VARIABLES`` plus ``z``."""
+    return st.lists(st.sampled_from(VARIABLES + ("z",)), unique=True).flatmap(
+        lambda names: st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=max_exponent)] * len(names)),
+            st.integers(min_value=-5, max_value=5),
+            max_size=max_terms,
+        ).map(lambda terms: MultiPoly(names, terms))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_over_some_variables(3, 5), polys_over_some_variables(2, 5))
+def test_product_matches_double_loop(p, q):
+    assert by_names(p * q) == product_by_names(p, q)
+    assert by_names(q * p) == product_by_names(p, q)
