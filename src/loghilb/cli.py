@@ -44,8 +44,8 @@ from .strata import (
     enumerate_profiles,
     parse_profile,
     stabilizer_bounds,
+    strata_classes,
     strata_sum,
-    stratum_class,
 )
 
 SCHEMA_VERSION = 2
@@ -384,8 +384,7 @@ def cmd_strata(args: argparse.Namespace) -> Result:
         profiles = enumerate_profiles(args.n, args.ell)
     rows = []
     total = MultiPoly.const(0)
-    for profile in profiles:
-        cls = stratum_class(profile, mode, args.ell)
+    for profile, cls in strata_classes(args.n, args.ell, mode, profiles):
         total = total + cls
         rows.append(
             {

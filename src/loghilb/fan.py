@@ -256,6 +256,8 @@ class StackyFan:
         tests and is the test oracle for ``fan_defect``, which the CLI uses.
         """
         faces = self.all_cones()
+        rays = [r.vector for r in self.rays]
+        sums = {a: list(map(sum, zip(*(rays[i] for i in a)))) for a in self.max_cones}
         for a in self.max_cones:
             for b in self.max_cones:
                 if a >= b:
@@ -265,14 +267,11 @@ class StackyFan:
                     return False
                 # rays of a outside the common face may not lie in cone(b)
                 for i in a - common:
-                    if self.contains_in_cone(b, self.rays[i].vector):
+                    if self.contains_in_cone(b, rays[i]):
                         return False
-                # interiors must be disjoint: the barycenter of a may lie in
-                # cone(b) only when the cones coincide
-                s = [0] * self.dim
-                for i in a:
-                    s = [x + y for x, y in zip(s, self.rays[i].vector)]
-                if self.contains_in_cone(b, s) and common != a:
+                # interiors must be disjoint: the ray sum of a, an interior
+                # point of cone(a), may lie in cone(b) only when they coincide
+                if self.contains_in_cone(b, sums[a]) and common != a:
                     return False
         return True
 

@@ -5,8 +5,8 @@ precision).  There is one dense integer row-elimination kernel,
 ``hermite_normal_form``, which computes the row-style Hermite normal form
 without a transform matrix; invariant factors come from alternating
 Hermite forms of a matrix and its transpose until each row has a single
-nonzero entry (Kannan–Bachem).  Naive Euclidean pivoting is adequate at the
-sizes it meets: a few hundred rows and columns.
+nonzero entry (Kannan–Bachem).  Its pivoting is naive (Euclidean), on cores
+of up to a few thousand rows and a few hundred columns (2,205 × 171 at n = 7).
 
 Sparse relation matrices, mostly +-1, are first brought to a
 ``ReducedForm`` (``reduced_form``): +-1 pivots are eliminated on dict rows

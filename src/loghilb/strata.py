@@ -8,13 +8,17 @@ oracle for the closed-form generating function
 
     Z_C(t) * ((1 - L*t)(1 - t) / (1 - (L+1)*t))^ell,
 
-and for its Euler, Hodge-Deligne and Poincare specializations.
+and for its Euler, Hodge-Deligne and Poincare specializations.  A stratum's
+class, the interior symmetric power times L^(part - 1) per bubble, is
+multiplied out only in ``strata_classes``: the sum, the one-profile class
+and the CLI listing all read it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, NamedTuple, Tuple
+from itertools import product
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .poly import MultiPoly, TruncSeries, ZERO
 
@@ -160,15 +164,12 @@ def enumerate_profiles(n: int, ell: int) -> List[StratumProfile]:
             for rest in splits(total - a, parts - 1)
         ]
 
-    profiles = []
-    for m in range(n, -1, -1):
-        for totals in splits(n - m, ell):
-            choices: List[Tuple[Composition, ...]] = [()]
-            for a in totals:
-                choices = [prefix + (c,) for prefix in choices for c in compositions(a)]
-            for nu in choices:
-                profiles.append(StratumProfile(m, nu))
-    return profiles
+    return [
+        StratumProfile(m, nu)
+        for m in range(n, -1, -1)
+        for totals in splits(n - m, ell)
+        for nu in product(*map(compositions, totals))
+    ]
 
 
 def interior_sym_coefficients(mode: ZetaMode, ell: int, order: int) -> List[MultiPoly]:
@@ -181,34 +182,35 @@ def interior_sym_coefficients(mode: ZetaMode, ell: int, order: int) -> List[Mult
     return list(TruncSeries.from_rational(num, den, order).coeffs)
 
 
-def stratum_class(profile: StratumProfile, mode: ZetaMode, ell: int) -> MultiPoly:
-    """Grothendieck-ring class of a single locally closed stratum."""
-    if len(profile.nu) != ell:
-        raise ProfileError("profile does not match the number of markings")
-    interior = interior_sym_coefficients(mode, ell, profile.m)[profile.m]
-    lam = affine_line_class(mode)
-    cls = interior
-    for comp in profile.nu:
-        for part in comp:
-            cls = cls * lam ** (part - 1)
-    return cls
+def strata_classes(
+    n: int, ell: int, mode: ZetaMode, profiles: Iterable[StratumProfile]
+) -> Iterator[Tuple[StratumProfile, MultiPoly]]:
+    """Each profile, of total length at most n, in order, with its class.
 
-
-def strata_sum(n: int, ell: int, mode: ZetaMode) -> MultiPoly:
-    """Brute-force class of the relative moduli space: sum over all strata."""
+    The interior series and the powers of L are expanded once, to order n.
+    """
     interior = interior_sym_coefficients(mode, ell, n)
     lam = affine_line_class(mode)
-    lam_powers = [MultiPoly.const(1)]
-    for _ in range(n):
-        lam_powers.append(lam_powers[-1] * lam)
-    total = ZERO
-    for profile in enumerate_profiles(n, ell):
+    lam_powers = [lam ** k for k in range(n)]
+    for profile in profiles:
+        if len(profile.nu) != ell:
+            raise ProfileError("profile does not match the number of markings")
         cls = interior[profile.m]
         for comp in profile.nu:
             for part in comp:
                 cls = cls * lam_powers[part - 1]
-        total = total + cls
-    return total
+        yield profile, cls
+
+
+def stratum_class(profile: StratumProfile, mode: ZetaMode, ell: int) -> MultiPoly:
+    """Grothendieck-ring class of a single locally closed stratum."""
+    return next(strata_classes(profile.total, ell, mode, [profile]))[1]
+
+
+def strata_sum(n: int, ell: int, mode: ZetaMode) -> MultiPoly:
+    """Brute-force class of the relative moduli space: sum over all strata."""
+    classes = strata_classes(n, ell, mode, enumerate_profiles(n, ell))
+    return sum((cls for _, cls in classes), ZERO)
 
 
 def stabilizer_bounds(profile: StratumProfile) -> List[int]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from loghilb import chow, cli
+from loghilb import chow, cli, strata
 from loghilb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -368,6 +368,21 @@ def test_strata_profile_mismatch(capsys):
         capsys, "strata", "--n", "4", "--ell", "3", "--profile", "1;(1,2);();(1)"
     )
     assert code == EXIT_USAGE
+
+
+def test_strata_listing_expands_the_interior_series_once(capsys, monkeypatch):
+    calls = []
+    expand = strata.interior_sym_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(strata, "interior_sym_coefficients", counted)
+    code, doc = run_json(capsys, "strata", "--n", "4", "--ell", "2")
+    assert code == EXIT_OK
+    assert len(doc["rows"]) == 48
+    assert len(calls) == 1
 
 
 def test_csv_output(capsys):

@@ -1,5 +1,7 @@
 """Tests for the stratification oracle and generating functions."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,12 +11,14 @@ from loghilb.strata import (
     ProfileError,
     StratumProfile,
     ZetaMode,
+    affine_line_class,
     closed_form,
     compositions,
     enumerate_profiles,
     interior_sym_coefficients,
     parse_profile,
     stabilizer_bounds,
+    strata_classes,
     strata_sum,
     stratum_class,
 )
@@ -115,6 +119,52 @@ def test_stratum_class_codimension_weight():
     assert stratum_class(p, MOTIVIC_P1, 1) == L
     p = StratumProfile(0, ((1, 1),))
     assert stratum_class(p, MOTIVIC_P1, 1) == MultiPoly.const(1)
+
+
+@lru_cache(maxsize=None)
+def interior_class(mode, ell, m):
+    return interior_sym_coefficients(mode, ell, m)[m]
+
+
+def per_profile_class(profile, mode, ell):
+    """The class of one stratum, with the interior series expanded to its m."""
+    cls = interior_class(mode, ell, profile.m)
+    for comp in profile.nu:
+        for part in comp:
+            cls = cls * affine_line_class(mode) ** (part - 1)
+    return cls
+
+
+@pytest.mark.parametrize(
+    "mode",
+    (MOTIVIC_P1, ZetaMode("hodge", 1), ZetaMode("poincare", 2), ZetaMode("euler", 2)),
+    ids=str,
+)
+def test_strata_classes_match_per_profile_oracle(mode):
+    for ell in (1, 2, 3):
+        for n in range(7):
+            profiles = enumerate_profiles(n, ell)
+            pairs = list(strata_classes(n, ell, mode, profiles))
+            assert [p for p, _ in pairs] == profiles
+            for profile, cls in pairs:
+                expected = per_profile_class(profile, mode, ell)
+                assert cls == expected
+                assert stratum_class(profile, mode, ell) == expected
+
+
+def test_strata_classes_keep_input_order_and_check_markings():
+    profiles = [parse_profile(t) for t in ("0;(2);(1)", "3;();()", "1;(1,1);()")]
+    pairs = list(strata_classes(3, 2, MOTIVIC_P1, profiles[::-1]))
+    assert [p for p, _ in pairs] == profiles[::-1]
+    L = MultiPoly.var("L")
+    assert [cls for _, cls in pairs] == [L - 1, L ** 3 - L ** 2, L]
+    mismatched = profiles[:1] + [parse_profile("1;(1,1)")]
+    classes = strata_classes(3, 2, MOTIVIC_P1, mismatched)
+    assert next(classes)[0] == profiles[0]
+    with pytest.raises(ProfileError, match="number of markings"):
+        next(classes)
+    with pytest.raises(ProfileError, match="number of markings"):
+        stratum_class(profiles[0], MOTIVIC_P1, 3)
 
 
 @pytest.mark.parametrize("ell", (1, 2, 3))
