@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
@@ -576,13 +577,13 @@ def stratum_cycle_class(profile: StratumProfile, n: int) -> MultiPoly:
         raise PresentationError(
             f"profile totals {profile.total}, expected {n}"
         )
-    cls = MultiPoly.const(1)
+    exponents: Counter[str] = Counter()
     for i, comp in enumerate(profile.nu, start=1):
-        k_i = len(comp)
-        for j in range(1, k_i + 1):
-            big_n = sum(comp[k_i - j:])
-            cls = cls * MultiPoly.var(eps_name(big_n, i))
-    return cls
+        big_n = 0
+        for part in reversed(comp):
+            big_n += part
+            exponents[eps_name(big_n, i)] += 1
+    return MultiPoly(tuple(exponents), {tuple(exponents.values()): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -400,10 +400,10 @@ def fan_motive(fan: StackyFan) -> MultiPoly:
     orbit per cone, so this holds for any fan, complete or not.
     """
     lm1 = MultiPoly.var("L") - 1
-    total = MultiPoly.const(0)
-    for count, dim in zip(fan.census(), range(fan.dim + 1)):
-        total = total + count * (lm1 ** (fan.dim - dim))
-    return total
+    return MultiPoly.sum(
+        count * lm1 ** (fan.dim - dim)
+        for count, dim in zip(fan.census(), range(fan.dim + 1))
+    )
 
 
 def is_palindromic(motive: MultiPoly) -> bool:

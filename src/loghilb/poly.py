@@ -13,7 +13,7 @@ functions whose denominator has unit constant term.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -73,6 +73,29 @@ class MultiPoly:
     @staticmethod
     def var(name: str) -> "MultiPoly":
         return MultiPoly((name,), {(1,): 1})
+
+    @staticmethod
+    def sum(polys: Iterable["MultiPoly | int"]) -> "MultiPoly":
+        """Sum of the polynomials of an iterable, read once.
+
+        The terms go into one map as they arrive; the map is re-indexed only
+        when a polynomial brings a new variable, and the result is
+        canonicalized once, at the end.
+        """
+        names: Tuple[str, ...] = ()
+        total: Dict[Exponent, int] = {}
+        for p in polys:
+            p = MultiPoly._coerce(p)
+            terms = p.terms
+            if p.vars != names:
+                if not set(p.vars) <= set(names):
+                    widened = tuple(sorted(set(names) | set(p.vars)))
+                    total = MultiPoly(names, total).embedded(widened)
+                    names = widened
+                terms = p.embedded(names)
+            for exp, c in terms.items():
+                total[exp] = total.get(exp, 0) + c
+        return MultiPoly(names, total)
 
     # -- basic queries -------------------------------------------------
 
@@ -151,14 +174,18 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.const(1)
+        if k == 0:
+            return MultiPoly.const(1)
+        # square-and-multiply, with no product by 1 and no square after the top bit
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- substitution --------------------------------------------------
 

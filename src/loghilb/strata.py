@@ -11,7 +11,9 @@ oracle for the closed-form generating function
 and for its Euler, Hodge-Deligne and Poincare specializations.  A stratum's
 class, the interior symmetric power times L^(part - 1) per bubble, is
 multiplied out only in ``strata_classes``: the sum, the one-profile class
-and the CLI listing all read it.
+and the CLI listing all read it.  The sum and the listing's total add the
+classes into one term map as they come (``MultiPoly.sum``), not by one
+polynomial addition per profile.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
-from .poly import MultiPoly, TruncSeries, ZERO
+from .poly import MultiPoly, TruncSeries
 
 Composition = Tuple[int, ...]
 
@@ -210,7 +212,7 @@ def stratum_class(profile: StratumProfile, mode: ZetaMode, ell: int) -> MultiPol
 def strata_sum(n: int, ell: int, mode: ZetaMode) -> MultiPoly:
     """Brute-force class of the relative moduli space: sum over all strata."""
     classes = strata_classes(n, ell, mode, enumerate_profiles(n, ell))
-    return sum((cls for _, cls in classes), ZERO)
+    return MultiPoly.sum(cls for _, cls in classes)
 
 
 def stabilizer_bounds(profile: StratumProfile) -> List[int]:

@@ -6,7 +6,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loghilb import chow, linalg
+from loghilb import chow, linalg, poly
 from loghilb.chow import (
     BaseRing,
     GradedPiece,
@@ -32,7 +32,7 @@ from loghilb.chow import (
 from loghilb.fan import FanError, fan_motive, hilb_fan
 from loghilb.linalg import in_row_span_z, invariant_factors
 from loghilb.poly import MultiPoly, ZERO
-from loghilb.strata import parse_profile
+from loghilb.strata import enumerate_profiles, parse_profile
 
 H = MultiPoly.var("H")
 TAU = MultiPoly.var("tau")
@@ -364,6 +364,37 @@ def test_cycle_class_figure_example():
 def test_cycle_class_single_bubble():
     assert stratum_cycle_class(parse_profile("0;(2)"), 2) == eps(2, 1)
     assert stratum_cycle_class(parse_profile("2;()"), 2) == MultiPoly.const(1)
+
+
+def per_bubble_cycle_class(profile, n):
+    """Oracle for ``stratum_cycle_class``: one generator and one ``MultiPoly``
+    product per bubble, the suffix sum taken afresh for each."""
+    assert profile.total == n
+    cls = MultiPoly.const(1)
+    for i, comp in enumerate(profile.nu, start=1):
+        k_i = len(comp)
+        for j in range(1, k_i + 1):
+            cls = cls * eps(sum(comp[k_i - j:]), i)
+    return cls
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_cycle_class_matches_per_bubble_oracle(ell):
+    for n in range(8):
+        for profile in enumerate_profiles(n, ell):
+            cls = stratum_cycle_class(profile, n)
+            assert cls == per_bubble_cycle_class(profile, n)
+            assert cls.degree() == profile.codimension
+
+
+def test_cycle_class_makes_no_product(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poly, "_times", lambda a, b: calls.append(1))
+    profiles = enumerate_profiles(6, 3)
+    assert [stratum_cycle_class(p, 6).degree() for p in profiles] == [
+        p.codimension for p in profiles
+    ]
+    assert calls == []
 
 
 def test_cycle_class_total_mismatch():

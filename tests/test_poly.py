@@ -1,8 +1,12 @@
 """Tests for exact sparse polynomials and truncated power series."""
 
+import operator
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loghilb import poly
 from loghilb.poly import (
     MultiPoly,
     NonUnitDenominatorError,
@@ -83,6 +87,25 @@ def test_arithmetic_and_powers():
     assert p == x * x + 2 * x * y + y * y
     assert (x + 1) * (x - 1) == x ** 2 - 1
     assert x ** 0 == ONE
+
+
+def test_power_makes_no_spare_products(monkeypatch):
+    L = MultiPoly.var("L")
+    calls = []
+    times = poly._times
+
+    def counted(a, b):
+        calls.append(1)
+        return times(a, b)
+
+    monkeypatch.setattr(poly, "_times", counted)
+    assert L ** 0 == 1
+    assert calls == []
+    # square-and-multiply: no product by 1, and no square after the top bit
+    for k, products in ((1, 0), (2, 1), (8, 3)):
+        calls.clear()
+        assert L ** k == MultiPoly(("L",), {(k,): 1})
+        assert len(calls) == products
 
 
 def test_scalar_multiplication_and_negation():
@@ -308,3 +331,50 @@ def polys_over_some_variables(max_exponent, max_terms):
 def test_product_matches_double_loop(p, q):
     assert by_names(p * q) == product_by_names(p, q)
     assert by_names(q * p) == product_by_names(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_over_some_variables(2, 3), st.integers(min_value=0, max_value=6))
+def test_power_matches_repeated_product(p, k):
+    assert p ** k == reduce(operator.mul, [p] * k, ONE)
+
+
+sum_items = st.one_of(polys_over_some_variables(2, 4), st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sum_items, max_size=8), st.lists(st.integers(0, 7), max_size=4))
+def test_streaming_sum_matches_repeated_addition(polys, negated):
+    # the negatives of some items are appended, so some terms cancel
+    polys = polys + [-MultiPoly._coerce(polys[i]) for i in negated if i < len(polys)]
+    expected = reduce(operator.add, polys, ZERO)
+    result = MultiPoly.sum(p for p in polys)
+    assert result == expected
+    assert result.vars == expected.vars
+    assert all(c != 0 for c in result.terms.values())
+
+
+def test_streaming_sum_edge_cases():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    assert MultiPoly.sum([]) == ZERO and MultiPoly.sum([]).vars == ()
+    # constants, with vars == (), before and after the variables appear
+    assert MultiPoly.sum([MultiPoly.const(3), y, 2, x, -5]) == x + y
+    # terms that cancel to zero prune their variables
+    cancelled = MultiPoly.sum([x * y, ONE, x, -(x * y), -x])
+    assert cancelled == ONE and cancelled.vars == ()
+    assert MultiPoly.sum([x, -x]).vars == ()
+
+
+def test_streaming_sum_reads_a_one_shot_generator_once():
+    x = MultiPoly.var("x")
+    seen = []
+
+    def items():
+        for k in range(5):
+            seen.append(k)
+            yield x ** k
+
+    gen = items()
+    assert MultiPoly.sum(gen) == sum((x ** k for k in range(5)), ZERO)
+    assert seen == [0, 1, 2, 3, 4]
+    assert next(gen, None) is None

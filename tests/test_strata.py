@@ -167,6 +167,25 @@ def test_strata_classes_keep_input_order_and_check_markings():
         stratum_class(profiles[0], MOTIVIC_P1, 3)
 
 
+def test_strata_sum_adds_no_polynomial_per_profile(monkeypatch):
+    calls = []
+    add = MultiPoly.__add__
+
+    def counted(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    expected = closed_form(MOTIVIC_P1, 2, 6).coeffs[6]
+    monkeypatch.setattr(MultiPoly, "__add__", counted)
+    interior_sym_coefficients(MOTIVIC_P1, 2, 6)
+    expansion = len(calls)
+    calls.clear()
+    # the classes of the 256 profiles go into one streaming sum: every
+    # __add__ call left is a subtraction of the interior series' expansion
+    assert strata_sum(6, 2, MOTIVIC_P1) == expected
+    assert len(calls) == expansion
+
+
 @pytest.mark.parametrize("ell", (1, 2, 3))
 def test_strata_sum_matches_closed_form(ell):
     series = closed_form(MOTIVIC_P1, ell, 10)
