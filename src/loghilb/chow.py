@@ -20,7 +20,9 @@ pivots are eliminated in Markowitz order and only the remaining core gets a
 dense Hermite form.  Graded pieces come from the form's invariant factors,
 one 1 per pivot plus those of the core, and membership reduces against its
 pivot rows and then its Hermite rows (``ideal_residue``).  Torsion is
-reported, never dropped.
+reported, never dropped, in every degree: a presentation's ``top_degree`` is
+the dimension, not a bound on the ring, whose integral groups above it can
+carry torsion on a stacky fan (Edidin-Graham, Invent. Math. 131, 1998).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .fan import StackyFan, blowup_levels
 from .linalg import ReducedForm, reduced_form
-from .poly import MultiPoly, ZERO
+from .poly import Exponent, MultiPoly, ZERO
 from .strata import StratumProfile
 
 
@@ -218,10 +220,8 @@ def sr_presentation(fan: StackyFan) -> GradedPresentation:
 # graded pieces by monomial enumeration + invariant factors
 
 
-def monomial_exponents(nvars: int, degree: int) -> List[Tuple[int, ...]]:
+def monomial_exponents(nvars: int, degree: int) -> List[Exponent]:
     """All exponent vectors of the given total degree, in a fixed order."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
     out = []
     for mono in itertools.combinations_with_replacement(range(nvars), degree):
         exp = [0] * nvars
@@ -231,7 +231,7 @@ def monomial_exponents(nvars: int, degree: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _embed_terms(p: MultiPoly, var_order: Sequence[str]) -> Dict[Tuple[int, ...], int]:
+def _embed_terms(p: MultiPoly, var_order: Sequence[str]) -> Dict[Exponent, int]:
     for v in p.vars:
         if v not in var_order:
             raise PresentationError(f"relation variable {v!r} not in the ring")
@@ -239,21 +239,16 @@ def _embed_terms(p: MultiPoly, var_order: Sequence[str]) -> Dict[Tuple[int, ...]
 
 
 def _relation_rows(
-    pres: GradedPresentation, degree: int
-) -> Tuple[List[Tuple[int, ...]], List[Dict[int, int]]]:
-    """Degree-k monomial basis and the (relation x monomial) rows of the
-    relation matrix, each a sparse map {basis position: coefficient}."""
-    variables = pres.variables()
+    variables: Sequence[str], relations: Sequence[MultiPoly], degree: int
+) -> Tuple[Dict[Exponent, int], List[Dict[int, int]]]:
+    """Degree-k monomial basis as {exponent: position}, in basis order, and
+    the (relation x monomial) rows of the relation matrix, each a sparse map
+    {basis position: coefficient}.  ``_solved`` screens the relations: each
+    is nonzero and homogeneous."""
     basis = monomial_exponents(len(variables), degree)
     index = {exp: i for i, exp in enumerate(basis)}
-    rows: List[List[int]] = []
-    for rel in pres.all_relations():
-        if rel.is_zero():
-            continue
-        if not rel.is_homogeneous():
-            raise PresentationError(
-                f"inhomogeneous relation {rel.to_string()!r}"
-            )
+    rows: List[Dict[int, int]] = []
+    for rel in relations:
         d = rel.degree()
         if d > degree:
             continue
@@ -265,7 +260,7 @@ def _relation_rows(
                     for exp, c in embedded.items()
                 }
             )
-    return basis, rows
+    return index, rows
 
 
 def _apply(p: MultiPoly, substitution: Mapping[str, MultiPoly]) -> MultiPoly:
@@ -276,7 +271,7 @@ def _apply(p: MultiPoly, substitution: Mapping[str, MultiPoly]) -> MultiPoly:
 
 
 def _row_poly(
-    variables: Sequence[str], basis: Sequence[Tuple[int, ...]], row: Mapping[int, int]
+    variables: Sequence[str], basis: Sequence[Exponent], row: Mapping[int, int]
 ) -> MultiPoly:
     """The polynomial whose coefficient on ``basis[j]`` is ``row[j]``."""
     return MultiPoly(variables, {basis[j]: c for j, c in row.items()})
@@ -306,10 +301,9 @@ def _solved(
         if not rel.is_homogeneous():
             raise PresentationError(f"inhomogeneous relation {rel.to_string()!r}")
     variables = pres.variables()
-    linear = tuple(rel for rel in relations if rel.degree() == 1)
-    basis, rows = _relation_rows(
-        GradedPresentation(BaseRing.integers(), variables, linear, 1), 1
-    )
+    linear = [rel for rel in relations if rel.degree() == 1]
+    index, rows = _relation_rows(variables, linear, 1)
+    basis = tuple(index)
     form = reduced_form(rows, len(basis))
     substitution = {
         variables[c]: _row_poly(variables, basis, form.residue({c: 1}))
@@ -331,15 +325,17 @@ def _solved(
 @functools.lru_cache(maxsize=128)
 def _reduced(
     pres: GradedPresentation, degree: int
-) -> Tuple[Tuple[Tuple[int, ...], ...], ReducedForm]:
-    """Monomial basis of the solved presentation in one degree, and the
-    reduced form of its relation matrix."""
-    basis, rows = _relation_rows(_solved(pres)[0], degree)
-    return tuple(basis), reduced_form(rows, len(basis))
+) -> Tuple[Tuple[Exponent, ...], Mapping[Exponent, int], ReducedForm]:
+    """Monomial basis of the solved presentation in one degree, its
+    {exponent: position} index, and the reduced form of its relation matrix."""
+    reduced = _solved(pres)[0]
+    index, rows = _relation_rows(reduced.variables(), reduced.relations, degree)
+    return tuple(index), MappingProxyType(index), reduced_form(rows, len(index))
 
 
 def graded_group(pres: GradedPresentation, degree: int) -> GradedPiece:
-    """Free rank and torsion of one graded piece of the presented ring.
+    """Free rank and torsion of one graded piece of the presented ring, in
+    any degree from 0 up: above ``top_degree`` it can still have torsion.
 
     Computed on the presentation with its unit-coefficient linear relations
     solved (``_solved``), which has the same graded pieces; torsion is
@@ -347,9 +343,9 @@ def graded_group(pres: GradedPresentation, degree: int) -> GradedPiece:
     """
     if pres.base.kind == "symbolic_curve":
         raise PresentationError("no graded computation in symbolic mode")
-    if not 0 <= degree <= pres.top_degree:
-        raise PresentationError("degree out of range")
-    form = _reduced(pres, degree)[1]
+    if degree < 0:
+        raise PresentationError("negative degree")
+    form = _reduced(pres, degree)[2]
     factors = form.invariant_factors()
     rank = form.ncols - len(factors)
     torsion = tuple(f for f in factors if f > 1)
@@ -364,24 +360,20 @@ def ideal_residue(pres: GradedPresentation, poly: MultiPoly) -> MultiPoly:
     """What is left of a homogeneous polynomial after reduction against the
     ideal at its own degree: zero exactly when the polynomial is a member.
 
-    Degrees above the top degree leave nothing: every class there vanishes,
-    so the degree bound makes the check complete.  The polynomial is pushed
-    through the substitution of ``_solved`` and reduced against the reduced
-    form of that degree, which is computed once per presentation and degree;
-    the residue is written in the solved presentation's variables, its terms
-    in the order of the monomial basis.
+    Every degree is decided, above ``top_degree`` too: there the ring of a
+    stacky fan can have torsion, so a class need not vanish.  The polynomial
+    is pushed through the substitution of ``_solved`` and reduced against the
+    reduced form of its degree, which is computed once per presentation and
+    degree, with its monomial index; the residue is written in the solved
+    presentation's variables, its terms in the order of the monomial basis.
     """
     if poly.is_zero():
         return ZERO
     if not poly.is_homogeneous():
         raise PresentationError("membership check needs a homogeneous polynomial")
-    degree = poly.degree()
-    if degree > pres.top_degree:
-        return ZERO
     reduced, substitution = _solved(pres)
     image = _apply(poly, substitution)
-    basis, form = _reduced(pres, degree)
-    index = {exp: i for i, exp in enumerate(basis)}
+    basis, index, form = _reduced(pres, poly.degree())
     target = {
         index[exp]: c for exp, c in _embed_terms(image, reduced.variables()).items()
     }

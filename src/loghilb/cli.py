@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chow import (
     BaseRing,
+    _apply,
     compare_presentations,
     graded_groups,
     ideal_residue,
@@ -286,7 +287,7 @@ def _sr_culprit(pres, sr, gen_map: Dict[str, MultiPoly], report: dict) -> str:
     differs."""
     for rel, entry in zip(pres.relations, report["relations"]):
         if not entry["member"]:
-            left = ideal_residue(sr, rel.specialize(gen_map))
+            left = ideal_residue(sr, _apply(rel, gen_map))
             first = ""
             if not left.is_zero():
                 exp, c = next(iter(left.terms.items()))

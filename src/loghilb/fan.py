@@ -117,14 +117,18 @@ class StackyFan:
         return self._faces
 
     def _build_face_masks(self) -> FrozenSet[int]:
-        # the sub-bitmasks of each maximal cone, by (sub - 1) & mask
-        faces = {0}
-        for cone in self.max_cones:
-            mask = sum(1 << i for i in cone)
-            sub = mask
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & mask
+        # level by level: the faces of size k are those of size k + 1 less
+        # one bit, so each face joins ``faces`` once, not once per maximal cone
+        faces, level = {0}, {sum(1 << i for i in cone) for cone in self.max_cones}
+        while level:
+            faces |= level
+            smaller = set()
+            for mask in level:
+                rest = mask
+                while rest:
+                    smaller.add(mask ^ (rest & -rest))
+                    rest &= rest - 1
+            level = smaller
         return frozenset(faces)
 
     def all_cones(self) -> FrozenSet[FrozenSet[int]]:

@@ -127,7 +127,8 @@ def hermite_normal_form(m) -> Matrix:
     """Row-style Hermite normal form H of m, reached by unimodular row operations.
 
     H is in row echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot).
+    pivot reduced into [0, pivot).  Row updates at column c run from c on:
+    the pivot row and every row below it are zero left of c.
     """
     a = _as_lists(m)
     nrows = len(a)
@@ -146,10 +147,10 @@ def hermite_normal_form(m) -> Matrix:
             nonzero = [i for i in range(r + 1, nrows) if a[i][c] != 0]
             if not nonzero:
                 break
-            top = a[r]
+            tail = a[r][c:]
             for i in nonzero:
-                q = a[i][c] // top[c]
-                a[i] = [x - q * y for x, y in zip(a[i], top)]
+                q = a[i][c] // tail[0]
+                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
             piv = r
             for i in range(r + 1, nrows):
                 if a[i][c] != 0 and abs(a[i][c]) < abs(a[piv][c]):
@@ -158,11 +159,11 @@ def hermite_normal_form(m) -> Matrix:
                 a[r], a[piv] = a[piv], a[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-        top = a[r]
+        tail = a[r][c:]
         for i in range(r):
-            q = a[i][c] // top[c]
+            q = a[i][c] // tail[0]
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], top)]
+                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
         r += 1
         if r == nrows:
             break

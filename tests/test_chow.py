@@ -350,6 +350,46 @@ def test_graded_group_degree_zero():
     assert g.rank == 1 and g.torsion == ()
 
 
+def test_classes_above_the_dimension_need_not_vanish():
+    # A^3 of the SR ring of hilb_fan(2, 1) is Z/2 (a stacky fan's integral
+    # Chow ring lives above its dimension), so neither cube is in the ideal
+    pres = sr_presentation(hilb_fan(2, 1))
+    assert pres.top_degree == 2
+    assert not ideal_member(pres, sigma(1) ** 3)
+    assert not ideal_member(pres, rho(2) ** 3)
+    assert graded_group(pres, 3) == GradedPiece(3, 0, (2,))
+    assert ideal_member(pres, 2 * sigma(1) ** 3)
+
+
+def test_monomial_exponents_without_variables():
+    # one empty monomial in degree 0 and none above: the ring Z itself
+    assert chow.monomial_exponents(0, 0) == [()]
+    assert chow.monomial_exponents(0, 2) == []
+    pres = GradedPresentation(BaseRing.integers(), (), (MultiPoly.const(3),), 0)
+    assert [graded_group(pres, k) for k in range(3)] == [
+        GradedPiece(0, 0, (3,)), GradedPiece(1, 0), GradedPiece(2, 0)
+    ]
+
+
+def test_graded_group_refuses_negative_degrees():
+    with pytest.raises(PresentationError, match="negative degree"):
+        graded_group(sr_presentation(hilb_fan(2, 1)), -1)
+
+
+def test_stated_relations_stop_at_the_dimension():
+    # compare_presentations, ideals_equal and the CLI's culprit test stated
+    # relations only; none lies above n, so no CLI verdict reads a degree
+    # above the dimension
+    for n in range(1, 8):
+        base = BaseRing.p1(n)
+        for i in range(n + 1):
+            presentations = [thmD_presentation(n, [i], base)]
+            if n <= 6:
+                presentations.append(iterated_keel(n, i, base))
+            for pres in presentations:
+                assert all(rel.degree() <= n for rel in pres.relations)
+
+
 # ---------------------------------------------------------------------------
 # cycle classes of strata
 
@@ -428,8 +468,11 @@ def test_equal_presentations_hit_the_solved_cache(fresh_caches):
 
 
 def dense_relation_rows(pres, degree):
-    """Monomial basis and the relation matrix of one degree, as dense rows."""
-    basis, rows = _relation_rows(pres, degree)
+    """Monomial basis and the relation matrix of one degree, as dense rows,
+    from every nonzero relation of the presentation, unsolved."""
+    relations = [rel for rel in pres.all_relations() if not rel.is_zero()]
+    index, rows = _relation_rows(pres.variables(), relations, degree)
+    basis = list(index)
     return basis, [[row.get(j, 0) for j in range(len(basis))] for row in rows]
 
 
@@ -462,16 +505,21 @@ def membership_cases(draw):
     sr = sr_presentation(hilb_fan(n, i))
     blowup = thmD_presentation(n, [i], BaseRing.p1(n))
     gen_map = sr_generator_map(n, i)
+    variables = sr.variables()
+    # up to two degrees above the dimension, where A^k can be torsion
+    degree = draw(st.integers(min_value=0, max_value=n + 2))
     images = [
         rel.specialize({v: gen_map[v] for v in rel.vars})
         for rel in blowup.relations
-        if rel.degree() <= n
+        if rel.degree() <= degree
     ]
     image = draw(st.sampled_from(images)) if images else ZERO
-    degree = image.degree() if not image.is_zero() else draw(
-        st.integers(min_value=0, max_value=n)
-    )
-    variables = sr.variables()
+    if not image.is_zero():
+        # lifted to the drawn degree by a monomial: still in the ideal
+        shift = draw(st.sampled_from(
+            chow.monomial_exponents(len(variables), degree - image.degree())
+        ))
+        image = image * MultiPoly(variables, {shift: 1})
     basis, rows = dense_relation_rows(sr, degree)
     member = draw(st.booleans())
     if member:
@@ -603,9 +651,10 @@ def small_presentations(draw):
 @settings(max_examples=120, deadline=None)
 @given(small_presentations(), st.data())
 def test_solved_presentations_match_unsolved_matrices(pres, data):
-    for d in range(pres.top_degree + 1):
+    # two degrees above top_degree too: it is no bound on the ring
+    for d in range(pres.top_degree + 3):
         assert graded_group(pres, d) == oracle_piece(pres, d)
-    degree = data.draw(st.integers(min_value=0, max_value=pres.top_degree))
+    degree = data.draw(st.integers(min_value=0, max_value=pres.top_degree + 2))
     basis, rows = dense_relation_rows(pres, degree)
     if rows and data.draw(st.booleans()):
         # an integer combination of (relation x monomial) rows: in the ideal
@@ -668,9 +717,9 @@ def test_relation_vanishing_after_substitution_is_dropped():
 def test_ideals_equal_builds_each_matrix_once(monkeypatch, fresh_caches):
     calls = Counter()
 
-    def counting(pres, degree):
-        calls[pres, degree] += 1
-        return _relation_rows(pres, degree)
+    def counting(variables, relations, degree):
+        calls[tuple(variables), tuple(relations), degree] += 1
+        return _relation_rows(variables, relations, degree)
 
     monkeypatch.setattr(chow, "_relation_rows", counting)
     base = BaseRing.p1(4)
@@ -705,9 +754,10 @@ def test_elimination_keeps_entries_small(kind, fresh_caches):
         pres = sr_presentation(hilb_fan(6, 1))
     else:
         pres = thmD_presentation(6, [0], BaseRing.p1(6))
-    _, rows = _relation_rows(_solved(pres)[0], 6)
+    reduced = _solved(pres)[0]
+    _, rows = _relation_rows(reduced.variables(), reduced.relations, 6)
     pivots, core = linalg.eliminate_unit_pivots(rows)
-    hermite = chow._reduced(pres, 6)[1].hermite
+    hermite = chow._reduced(pres, 6)[2].hermite
     entries = [x for _, row in pivots for x in row.values()]
     entries += [x for row in core for x in row.values()]
     entries += [x for row in hermite for x in row]

@@ -530,6 +530,22 @@ def test_failed_sr_comparison_names_the_monomial_left(capsys, monkeypatch, subco
     )
 
 
+def test_sr_culprit_keeps_variables_the_map_leaves_alone():
+    # the map sends H and eps2_1 only; sigma_1 is shared with the SR ring, so
+    # compare_presentations tests the relation as it stands, and so must the
+    # culprit (a full substitution would find no image for sigma_1)
+    sr = chow.sr_presentation(hilb_fan(2, 1))
+    sigma = MultiPoly.var("sigma_1")
+    pres = chow.GradedPresentation(chow.BaseRing.p1(2), ("sigma_1",), (sigma,), 2)
+    gen_map = chow.sr_generator_map(2, 1)
+    report = chow.compare_presentations(pres, sr, gen_map)
+    assert report["relations"] == [{"relation": "sigma_1", "member": False}]
+    assert cli._sr_culprit(pres, sr, gen_map, report) == (
+        "relation sigma_1 of degree 1 is not in the Stanley-Reisner ideal; "
+        "the first monomial left after reduction is tau"
+    )
+
+
 @pytest.mark.parametrize("subcommand", SR_COMPARISONS)
 def test_failed_sr_comparison_names_the_degree(capsys, monkeypatch, subcommand):
     group = chow.graded_group

@@ -383,6 +383,28 @@ def test_census_counts_all_cones(n):
         assert fan.census() == tuple(counts)
 
 
+def sub_bitmask_faces(fan: StackyFan):
+    """Oracle for ``face_masks``: every sub-bitmask of each maximal cone, by
+    (sub - 1) & mask."""
+    faces = {0}
+    for cone in fan.max_cones:
+        mask = sum(1 << i for i in cone)
+        sub = mask
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & mask
+    return faces
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_face_masks_match_sub_bitmask_oracle(n):
+    # every fan the CLI builds at this n, with marking 0 and with 0+inf
+    fans = [hilb_fan(n, i) for i in range(n + 1)]
+    fans += [hilb_fan_two_sided(n, i, j) for i in range(n + 1) for j in range(n + 1)]
+    for fan in fans:
+        assert fan.face_masks() == sub_bitmask_faces(fan)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_stored_cone_determinants(n):
     for fan in oracle_fans(n):

@@ -389,6 +389,56 @@ def test_hermite_row_style():
     assert pivots == sorted(pivots)
 
 
+def full_row_hermite_normal_form(m) -> Matrix:
+    """Oracle for ``hermite_normal_form``: the same elimination, with each row
+    update over the whole row rather than from the pivot column on."""
+    a = _as_lists(m)
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if a[i][c] != 0 and (piv is None or abs(a[i][c]) < abs(a[piv][c])):
+                piv = i
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        while True:
+            nonzero = [i for i in range(r + 1, nrows) if a[i][c] != 0]
+            if not nonzero:
+                break
+            top = a[r]
+            for i in nonzero:
+                q = a[i][c] // top[c]
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+            piv = r
+            for i in range(r + 1, nrows):
+                if a[i][c] != 0 and abs(a[i][c]) < abs(a[piv][c]):
+                    piv = i
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        top = a[r]
+        for i in range(r):
+            q = a[i][c] // top[c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+        r += 1
+        if r == nrows:
+            break
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(max_rows=8, max_cols=8))
+def test_hermite_suffix_updates_match_full_row_oracle(m):
+    before = [list(row) for row in m]
+    assert hermite_normal_form(m) == full_row_hermite_normal_form(m)
+    assert m == before
+
+
 def test_in_row_span_z():
     m = [[1, 0, 0], [0, 2, 0]]
     assert in_row_span_z(m, [3, 4, 0])
