@@ -57,8 +57,8 @@ EXIT_CHECK_FAILED = 3
 
 # caps, which only --force lifts, from single runs on a shared 2-core machine with
 # Python 3.11: every fan run at n = 9 (i in {0, 1, 4, 9}, and two-sided i, i-inf
-# in the same set) takes at most 0.7 s, against 1.5-1.8 s for the slowest run at
-# n = 8 before fan checks read stored cone determinants; n = 10 takes up to 2-2.2 s;
+# in the same set) takes at most 0.52 s, and at n = 10 (i, i-inf in {0, 1, 5, 10})
+# at most 1.31 s, as star subdivisions derive their new cones' determinants;
 # every chow sr --groups, thmD --compare-sr, keel --groups and compare run takes
 # at most 0.3-0.4 s at n = 6 and at most 3.3-5.1 s at n = 7 (keel --n 7 --i 0 or
 # 1 --groups), for every i; motive --ell 3 --N 12 takes 24 s.  Graded groups are
@@ -373,7 +373,10 @@ def cmd_strata(args: argparse.Namespace) -> Result:
         raise UsageError("strata: need at least one marking")
     mode = MOTIVIC_P1
     if args.profile is not None:
-        profile = parse_profile(args.profile)
+        try:
+            profile = parse_profile(args.profile)
+        except ProfileError as exc:
+            raise UsageError(f"strata: profile {args.profile!r}: {exc}") from None
         if len(profile.nu) != args.ell:
             raise UsageError("strata: profile does not match --ell")
         if profile.total != args.n:

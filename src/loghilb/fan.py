@@ -7,12 +7,12 @@ ray generators are stored primitive, so no extra stacky data is carried.
 
 Cones are stored via their maximal cones only, each with the determinant
 of its rays; faces are derived on demand, as bitmasks over ray indices.
+A star subdivision derives its new cones' determinants, with no memo.
 Fans are immutable values and all operations are pure.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -30,17 +30,6 @@ class FanError(ValueError):
 
 def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*v) == 1
-
-
-@lru_cache(maxsize=1 << 15)
-def _cone_det(vectors: Tuple[Vector, ...]) -> int:
-    """det of a maximal cone's ray vectors as rows, in sorted index order.
-
-    Memoised on the vectors, so that a star subdivision does not recompute
-    the cones it leaves unchanged.  The bound, 2**15 cones, is several times
-    the number of cones made on the way to any fan within the CLI cap.
-    """
-    return det(vectors)
 
 
 # Value classes are NamedTuples rather than dataclasses, which would import
@@ -71,13 +60,13 @@ class StackyFan:
     ``max_cones`` holds frozensets of indices into ``rays``.  Rays keep
     insertion order and cones are kept sorted for deterministic output.
     ``cone_dets`` maps each maximal cone to the determinant of its ray
-    vectors as rows in sorted index order, which the constructor computes
-    to check that the cone is full-dimensional.
+    vectors as rows in sorted index order (nonzero: the cone is full).  A
+    caller may pass them, as ``star_subdivide`` does; else each is computed.
     """
 
     __slots__ = ("dim", "rays", "max_cones", "cone_dets", "_faces", "_facet_opposites")
 
-    def __init__(self, dim: int, rays: Sequence[Ray], max_cones):
+    def __init__(self, dim: int, rays: Sequence[Ray], max_cones, cone_dets=None):
         self.dim = dim
         self.rays = tuple(rays)
         cones = [frozenset(c) for c in max_cones]
@@ -91,7 +80,10 @@ class StackyFan:
         for cone in self.max_cones:
             if len(cone) != dim:
                 raise FanError("maximal cone is not full-dimensional")
-            d = _cone_det(tuple(self.rays[i].vector for i in sorted(cone)))
+            if cone_dets is None:
+                d = det([self.rays[i].vector for i in sorted(cone)])
+            else:
+                d = cone_dets[cone]
             if d == 0:
                 raise FanError("maximal cone rays are linearly dependent")
             dets[cone] = d
@@ -167,19 +159,16 @@ class StackyFan:
         """Every codimension-1 face must bound exactly two maximal cones."""
         return all(len(o) == 2 for o in self.facet_opposites().values())
 
-    def _coordinate_signs(self, cone, v: Sequence[int]) -> Tuple[List[int], List[int]]:
-        """A full cone's sorted ray indices and, per ray, d * (d * x_j), where
-        x holds v's coordinates in the cone's rays and d is the determinant of
-        those rays: the sign of x_j.  One ``fraction_free_solve`` gives d and
-        every Cramer numerator d * x_j."""
+    def _cramer(self, cone, v: Sequence[int]) -> Tuple[List[int], int, List[int]]:
+        """A full cone's sorted ray indices, their determinant d and, from the
+        same solve, v's Cramer numerators d * x_j, x_j of the sign of d * d * x_j."""
         idx = sorted(cone)
-        columns = zip(*(self.rays[i].vector for i in idx))
-        d, numerators = fraction_free_solve(columns, v)
-        return idx, [d * x for x in numerators]
+        d, numerators = fraction_free_solve(zip(*(self.rays[i].vector for i in idx)), v)
+        return idx, d, numerators
 
     def contains_in_cone(self, cone, v: Sequence[int]) -> bool:
-        _, signs = self._coordinate_signs(cone, v)
-        return all(s >= 0 for s in signs)
+        _, d, numerators = self._cramer(cone, v)
+        return all(d * x >= 0 for x in numerators)
 
     def _cone_name(self, cone) -> str:
         return "{" + ", ".join(self.labels(cone)) + "}"
@@ -325,16 +314,21 @@ def projective_fan(n: int) -> StackyFan:
     return StackyFan(n, rays, cones)
 
 
-def minimal_cone(fan: StackyFan, v: Sequence[int]) -> FrozenSet[int]:
-    """The unique cone whose relative interior contains v."""
-    vv = tuple(int(x) for x in v)
-    if all(x == 0 for x in vv):
+def _locate(fan: StackyFan, v: Vector) -> Tuple[int, Dict[int, int]]:
+    """The determinant d of the first maximal cone holding v, and v's Cramer
+    numerators d * x_r there on its minimal cone's rays r (d * d * x_r > 0)."""
+    if all(x == 0 for x in v):
         raise FanError("zero vector has no minimal cone")
     for cone in fan.max_cones:
-        idx, signs = fan._coordinate_signs(cone, vv)
-        if all(s >= 0 for s in signs):
-            return frozenset(i for i, s in zip(idx, signs) if s > 0)
-    raise FanError(f"vector {vv} lies outside the support of the fan")
+        idx, d, numerators = fan._cramer(cone, v)
+        if all(d * x >= 0 for x in numerators):
+            return d, {i: x for i, x in zip(idx, numerators) if d * x > 0}
+    raise FanError(f"vector {v} lies outside the support of the fan")
+
+
+def minimal_cone(fan: StackyFan, v: Sequence[int]) -> FrozenSet[int]:
+    """The unique cone whose relative interior contains v."""
+    return frozenset(_locate(fan, tuple(int(x) for x in v))[1])
 
 
 def star_subdivide(
@@ -344,23 +338,26 @@ def star_subdivide(
 
     Subdividing at an existing ray is a silent no-op: the corresponding
     modification of the moduli problem is an isomorphism.
+
+    Kept cones keep their determinants.  A new cone F + {v}, F = C - {r}, has
+    det(F + [v]) = det(F + [r]) * x_r, as v is x_r * r plus rays of F.
     """
     vv = tuple(int(x) for x in v)
     if not is_primitive(vv):
         raise FanError(f"subdivision vector {vv} is not primitive")
     if fan.ray_index(vv) is not None:
         return fan
-    center = minimal_cone(fan, vv)
+    d, numerators = _locate(fan, vv)
     new_index = len(fan.rays)
     rays = list(fan.rays) + [Ray(label or f"ray_{new_index}", vv)]
-    cones: List[FrozenSet[int]] = []
-    for cone in fan.max_cones:
-        if not center <= cone:
-            cones.append(cone)
+    dets: Dict[FrozenSet[int], int] = {}
+    for cone, cone_det in fan.cone_dets.items():
+        if not numerators.keys() <= cone:
+            dets[cone] = cone_det
             continue
-        for r in center:
-            cones.append((cone - {r}) | {new_index})
-    return StackyFan(fan.dim, rays, cones)
+        for r, num in numerators.items():
+            dets[(cone - {r}) | {new_index}] = fan._side(cone - {r}, r) * num // d
+    return StackyFan(fan.dim, rays, dets.keys(), cone_dets=dets)
 
 
 def rho_vector(n: int, j: int) -> Vector:

@@ -226,7 +226,7 @@ def parse_profile(text: str) -> StratumProfile:
     try:
         m = int(pieces[0])
     except ValueError as exc:
-        raise ProfileError(f"bad interior length in {text!r}") from exc
+        raise ProfileError(f"bad interior length {pieces[0]!r}") from exc
     nu = []
     for piece in pieces[1:]:
         piece = piece.strip()

@@ -4,7 +4,7 @@ from collections import Counter
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loghilb import chow, linalg, poly
 from loghilb.chow import (
@@ -542,6 +542,10 @@ def membership_cases(draw):
                 max_size=len(basis),
             )
         )
+        # one odd coefficient, so that the noise does not shrink into the
+        # ideal where the group is 2-torsion (A^3 of hilb_fan(2, 1) is Z/2)
+        k = draw(st.integers(min_value=0, max_value=len(basis) - 1))
+        coefficients[k] = draw(st.sampled_from((1, -1, 3)))
     noise = MultiPoly(variables, {e: c for e, c in zip(basis, coefficients) if c})
     scale = draw(st.integers(min_value=-2, max_value=2))
     return sr, scale * image + noise, member
@@ -549,6 +553,7 @@ def membership_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(membership_cases())
+@example((sr_presentation(hilb_fan(2, 1)), sigma(1) ** 3, False))
 def test_ideal_member_matches_unreduced_oracle(case):
     pres, poly, member = case
     if poly.is_zero():

@@ -370,6 +370,24 @@ def test_strata_profile_mismatch(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "profile, reason",
+    [
+        ("3;(0)", "every bubble must support positive length"),
+        ("-1;(1)", "interior length must be non-negative"),
+        ("x;(1)", "bad interior length 'x'"),
+        ("1;[1]", "bad composition '[1]'"),
+    ],
+)
+def test_strata_bad_profile_names_command_and_profile(capsys, profile, reason):
+    code, out, err = run(
+        capsys, "strata", "--n", "3", "--ell", "1", f"--profile={profile}"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: strata: profile {profile!r}: {reason}\n"
+
+
 def test_strata_listing_expands_the_interior_series_once(capsys, monkeypatch):
     calls = []
     expand = strata.interior_sym_coefficients

@@ -2,7 +2,7 @@
 
 import fractions
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -396,28 +396,83 @@ def sub_bitmask_faces(fan: StackyFan):
     return faces
 
 
+def cli_fans(n):
+    """Every fan the CLI builds at this n, with marking 0 and with 0+inf."""
+    yield from (hilb_fan(n, i) for i in range(n + 1))
+    for i in range(n + 1):
+        yield from (hilb_fan_two_sided(n, i, j) for j in range(n + 1))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_face_masks_match_sub_bitmask_oracle(n):
-    # every fan the CLI builds at this n, with marking 0 and with 0+inf
-    fans = [hilb_fan(n, i) for i in range(n + 1)]
-    fans += [hilb_fan_two_sided(n, i, j) for i in range(n + 1) for j in range(n + 1)]
-    for fan in fans:
+    for fan in cli_fans(n):
         assert fan.face_masks() == sub_bitmask_faces(fan)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+def assert_cone_dets_match_det(fan):
+    assert set(fan.cone_dets) == set(fan.max_cones)
+    for cone in fan.max_cones:
+        rows = [list(fan.rays[i].vector) for i in sorted(cone)]
+        assert fan.cone_dets[cone] == linalg.det(rows) != 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_stored_cone_determinants(n):
-    for fan in oracle_fans(n):
-        assert set(fan.cone_dets) == set(fan.max_cones)
-        for cone in fan.max_cones:
-            rows = [list(fan.rays[i].vector) for i in sorted(cone)]
-            assert fan.cone_dets[cone] == linalg.det(rows) != 0
+    # star_subdivide derives the determinants of the cones it makes
+    for fan in cli_fans(n):
+        assert_cone_dets_match_det(fan)
         # the facet test's sides, read from those determinants
         for facet, opposite in fan.facet_opposites().items():
             rows = [list(fan.rays[i].vector) for i in sorted(facet)]
             for u in opposite:
                 side = linalg.det(rows + [list(fan.rays[u].vector)])
                 assert fan._side(facet, u) == side
+
+
+@st.composite
+def subdivided_projective_fans(draw):
+    """projective_fan(d), d <= 4, star-subdivided at up to four drawn
+    primitive vectors: either arbitrary ones, or a positive combination of a
+    few rays of one maximal cone, whose minimal cone is then small."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    fan = projective_fan(dim)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            v = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+        else:
+            cone = sorted(draw(st.sampled_from(fan.max_cones)))
+            face = draw(st.lists(st.sampled_from(cone), min_size=1, unique=True))
+            weights = [draw(st.integers(1, 3)) for _ in face]
+            v = [
+                sum(w * fan.rays[i].vector[k] for w, i in zip(weights, face))
+                for k in range(dim)
+            ]
+        g = gcd(*v)
+        if g:
+            fan = star_subdivide(fan, [x // g for x in v])
+    return fan
+
+
+@settings(max_examples=150, deadline=None)
+@given(subdivided_projective_fans())
+def test_subdivided_cone_determinants_match_det(fan):
+    assert_cone_dets_match_det(fan)
+    assert fan.fan_defect() is None
+
+
+def test_star_subdivide_computes_no_determinant(monkeypatch):
+    fan = projective_fan(3)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return linalg.det(m)
+
+    monkeypatch.setattr(fan_module, "det", counted)
+    subdivided = star_subdivide(fan, (2, 3, 5))
+    assert calls == []
+    assert len(subdivided.max_cones) == 6
+    assert_cone_dets_match_det(subdivided)
 
 
 def test_facet_opposites_bound_two_cones():
