@@ -263,13 +263,6 @@ def _relation_rows(
     return index, rows
 
 
-def _apply(p: MultiPoly, substitution: Mapping[str, MultiPoly]) -> MultiPoly:
-    """``p`` with each variable replaced by its image, if it has one."""
-    if not any(v in substitution for v in p.vars):
-        return p
-    return p.specialize({v: substitution.get(v, MultiPoly.var(v)) for v in p.vars})
-
-
 def _row_poly(
     variables: Sequence[str], basis: Sequence[Exponent], row: Mapping[int, int]
 ) -> MultiPoly:
@@ -313,7 +306,7 @@ def _solved(
         _row_poly(variables, basis, dict(zip(form.core_columns, row)))
         for row in form.hermite
     ]
-    images = (_apply(rel, substitution) for rel in relations if rel.degree() != 1)
+    images = (rel.specialize(substitution) for rel in relations if rel.degree() != 1)
     kept += [image for image in images if not image.is_zero()]
     survivors = tuple(v for v in variables if v not in substitution)
     reduced = GradedPresentation(
@@ -372,7 +365,7 @@ def ideal_residue(pres: GradedPresentation, poly: MultiPoly) -> MultiPoly:
     if not poly.is_homogeneous():
         raise PresentationError("membership check needs a homogeneous polynomial")
     reduced, substitution = _solved(pres)
-    image = _apply(poly, substitution)
+    image = poly.specialize(substitution)
     basis, index, form = _reduced(pres, poly.degree())
     target = {
         index[exp]: c for exp, c in _embed_terms(image, reduced.variables()).items()
@@ -458,7 +451,7 @@ def q_for_levels(
     shift = n_top - m
     uppers = [eps_name(shift + h + j, r) for j in range(1, m - h + 1)]
     q = q_polynomial(m, h, "_t", uppers, base.c1_name(r))
-    return _apply(q, {"_t": -MultiPoly.var(eps_name(shift + h, r))})
+    return q.specialize({"_t": -MultiPoly.var(eps_name(shift + h, r))})
 
 
 def _level_relations(
@@ -605,7 +598,7 @@ def compare_presentations(
         for v in rel.vars:
             if v not in gen_map and v not in b_vars:
                 raise PresentationError(f"no image for variable {v!r} of the source")
-        ok = ideal_member(b, _apply(rel, gen_map))
+        ok = ideal_member(b, rel.specialize(gen_map))
         all_ok = all_ok and ok
         relation_report.append(
             {"relation": rel.to_string(), "member": ok}

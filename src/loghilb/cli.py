@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chow import (
     BaseRing,
-    _apply,
     compare_presentations,
     graded_groups,
     ideal_residue,
@@ -62,10 +61,10 @@ EXIT_CHECK_FAILED = 3
 # every chow sr --groups, thmD --compare-sr, keel --groups and compare run takes
 # at most 0.3-0.4 s at n = 6 and at most 3.3-5.1 s at n = 7 (keel --n 7 --i 0 or
 # 1 --groups), for every i; motive --ell 3 --N 12 takes 24 s.  Graded groups are
-# computed only over the p1 base, which takes a single marking (sr and compare
-# ignore --ell), so the chow cap on n bounds every graded job; symbolic
-# multi-marking presentations print without graded groups (thmD --n 6 --ell 6
-# --curve symbolic takes 0.31 s).
+# computed only over the p1 base, which takes a single marking (sr ignores --ell,
+# keel and compare refuse any other), so the chow cap on n bounds every graded
+# job; symbolic multi-marking presentations print without graded groups (thmD
+# --n 6 --ell 6 --curve symbolic takes 0.31 s).
 MAX_N_FAN = 9
 MAX_N_GROUPS = 7
 MAX_N_MOTIVE = 12
@@ -216,9 +215,9 @@ def cmd_chow(args: argparse.Namespace) -> Result:
         raise UsageError("chow: need n >= 1")
     if not 0 <= args.i <= args.n:
         raise UsageError("chow: need 0 <= i <= n")
-    # sr reads neither --curve nor --ell; compare always works over p1
-    if args.subcommand == "keel" and (args.curve != "p1" or args.ell != 1):
-        raise UsageError("chow keel: needs --curve p1 and --ell 1")
+    # sr reads neither --curve nor --ell; keel and compare work over p1 only
+    if args.subcommand in ("keel", "compare") and (args.curve != "p1" or args.ell != 1):
+        raise UsageError(f"chow {args.subcommand}: needs --curve p1 and --ell 1")
     if args.subcommand == "thmD" and args.ell < 1:
         raise UsageError("chow thmD: need at least one marking")
     if args.subcommand == "thmD" and args.curve != "p1" and (
@@ -287,7 +286,7 @@ def _sr_culprit(pres, sr, gen_map: Dict[str, MultiPoly], report: dict) -> str:
     differs."""
     for rel, entry in zip(pres.relations, report["relations"]):
         if not entry["member"]:
-            left = ideal_residue(sr, _apply(rel, gen_map))
+            left = ideal_residue(sr, rel.specialize(gen_map))
             first = ""
             if not left.is_zero():
                 exp, c = next(iter(left.terms.items()))

@@ -71,7 +71,7 @@ class StackyFan:
         self.rays = tuple(rays)
         cones = [frozenset(c) for c in max_cones]
         self.max_cones = tuple(sorted(cones, key=lambda c: sorted(c)))
-        self._faces: Optional[FrozenSet[int]] = None
+        self._faces: Optional[Tuple[FrozenSet[int], Tuple[int, ...]]] = None
         self._facet_opposites: Optional[FacetMap] = None
         for ray in self.rays:
             if len(ray.vector) != dim:
@@ -106,14 +106,17 @@ class StackyFan:
         origin (0) included, enumerated on the first call only."""
         if self._faces is None:
             self._faces = self._build_face_masks()
-        return self._faces
+        return self._faces[0]
 
-    def _build_face_masks(self) -> FrozenSet[int]:
+    def _build_face_masks(self) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
+        """The face masks and the census: the size of each level below."""
         # level by level: the faces of size k are those of size k + 1 less
         # one bit, so each face joins ``faces`` once, not once per maximal cone
         faces, level = {0}, {sum(1 << i for i in cone) for cone in self.max_cones}
+        census = [1] + [0] * self.dim
         while level:
             faces |= level
+            census[next(iter(level)).bit_count()] = len(level)
             smaller = set()
             for mask in level:
                 rest = mask
@@ -121,7 +124,7 @@ class StackyFan:
                     smaller.add(mask ^ (rest & -rest))
                     rest &= rest - 1
             level = smaller
-        return frozenset(faces)
+        return frozenset(faces), tuple(census)
 
     def all_cones(self) -> FrozenSet[FrozenSet[int]]:
         """All faces of all maximal cones, including the origin (empty set)."""
@@ -131,11 +134,9 @@ class StackyFan:
         )
 
     def census(self) -> Tuple[int, ...]:
-        """Number of cones of each dimension."""
-        counts = [0] * (self.dim + 1)
-        for mask in self.face_masks():
-            counts[mask.bit_count()] += 1
-        return tuple(counts)
+        """Number of cones of each dimension, counted with the faces."""
+        self.face_masks()
+        return self._faces[1]
 
     def facet_opposites(self) -> FacetMap:
         """Read-only map of each facet (a maximal cone minus one ray) to its

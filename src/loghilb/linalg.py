@@ -3,10 +3,12 @@
 Dense matrices are plain lists of lists of Python integers (arbitrary
 precision).  There is one dense integer row-elimination kernel,
 ``hermite_normal_form``, which computes the row-style Hermite normal form
-without a transform matrix; invariant factors come from alternating
-Hermite forms of a matrix and its transpose until each row has a single
-nonzero entry (Kannan–Bachem).  Its pivoting is naive (Euclidean), on cores
-of up to a few thousand rows and a few hundred columns (2,205 × 171 at n = 7).
+without a transform matrix.  Its pivoting is Euclidean, over the live rows
+of each column, found by one scan, on cores of up to a few thousand rows and
+a few hundred columns (2,205 × 171 at n = 7).  Invariant factors come from
+alternating Hermite forms of a matrix and its transpose until each row has a
+single nonzero entry (Kannan–Bachem, SIAM J. Comput. 8, 1979), then from one
+pairwise gcd/lcm pass over the diagonal.
 
 Sparse relation matrices, mostly +-1, are first brought to a
 ``ReducedForm`` (``reduced_form``): +-1 pivots are eliminated on dict rows
@@ -135,28 +137,23 @@ def hermite_normal_form(m) -> Matrix:
     ncols = len(a[0]) if nrows else 0
     r = 0
     for c in range(ncols):
-        # gcd the column below row r into position r
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0 and (piv is None or abs(a[i][c]) < abs(a[piv][c])):
-                piv = i
-        if piv is None:
+        # gcd the live rows (nonzero in column c, at or below r) into row r
+        live = [i for i in range(r, nrows) if a[i][c]]
+        if not live:
             continue
-        a[r], a[piv] = a[piv], a[r]
         while True:
-            nonzero = [i for i in range(r + 1, nrows) if a[i][c] != 0]
-            if not nonzero:
+            piv = min(live, key=lambda i: abs(a[i][c]))
+            a[r], a[piv] = a[piv], a[r]
+            # the row from r is now at piv, live if nonzero; rest keeps row order,
+            # so ties go to the lowest row (other orders grew entries at n = 8)
+            rest = [i for i in live if i != (r if a[piv][c] else piv)]
+            if not rest:
                 break
             tail = a[r][c:]
-            for i in nonzero:
+            for i in rest:
                 q = a[i][c] // tail[0]
                 a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
-            piv = r
-            for i in range(r + 1, nrows):
-                if a[i][c] != 0 and abs(a[i][c]) < abs(a[piv][c]):
-                    piv = i
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
+            live = [r] + [i for i in rest if a[i][c]]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
         tail = a[r][c:]
@@ -183,17 +180,14 @@ def invariant_factors(m) -> List[int]:
             break
         a = [list(col) for col in zip(*a)]
     diag = [abs(x) for row in a for x in row if x]
-    # a diagonal reached by unimodular operations determines the invariant
-    # factors after pairwise gcd/lcm normalization of its entries
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i] != 0:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
+    # a diagonal reached by unimodular operations gives the invariant factors
+    # after one pairwise gcd/lcm pass: once position i is done it divides every
+    # later entry, and the gcd and lcm of two multiples of it are multiples of it
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if diag[j] % diag[i] != 0:
+                g = gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
     return sorted(diag)
 
 

@@ -4,7 +4,10 @@ A polynomial is stored as a map from exponent tuples to nonzero integer
 coefficients, together with a sorted tuple of variable names.  Variables
 that occur in no term are pruned, and variable lists of two operands are
 merged by name, so polynomials built independently compose safely and
-equal polynomials compare equal structurally.
+equal polynomials compare equal structurally.  Each kernel operation has one
+implementation: the term product ``_times``, the exponent embedding
+``embedded``, the substitution ``specialize`` and the sum ``MultiPoly.sum``,
+which ``+`` and ``-`` call.
 
 Also provides truncated power series in a distinguished variable ``t``
 with MultiPoly coefficients, including exact expansion of rational
@@ -146,12 +149,7 @@ class MultiPoly:
         raise TypeError(f"cannot treat {value!r} as a polynomial")
 
     def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        merged, a, b = self._aligned(other)
-        out = dict(a)
-        for exp, c in b.items():
-            out[exp] = out.get(exp, 0) + c
-        return MultiPoly(merged, out)
+        return MultiPoly.sum((self, other))
 
     __radd__ = __add__
 
@@ -190,16 +188,17 @@ class MultiPoly:
     # -- substitution --------------------------------------------------
 
     def specialize(self, substitution: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
-        """Substitute a polynomial for every variable occurring in self.
+        """Substitute a polynomial for each variable the map names; every
+        other variable stays as it is.
 
-        One pass over the terms: the images are put over one merged variable
+        A map that names none of the variables gives back self.  Otherwise
+        one pass over the terms: the images are put over one merged variable
         list, the powers of each image are computed once and kept, and the
         result is canonicalized once, at the end.
         """
-        missing = [v for v in self.vars if v not in substitution]
-        if missing:
-            raise KeyError(f"no substitution for variables {missing}")
-        subs = [self._coerce(substitution[v]) for v in self.vars]
+        if not any(v in substitution for v in self.vars):
+            return self
+        subs = [self._coerce(substitution.get(v, MultiPoly.var(v))) for v in self.vars]
         names = tuple(sorted({v for s in subs for v in s.vars}))
         const_exp = (0,) * len(names)
         # powers[k][e - 1] is the e-th power of the k-th image

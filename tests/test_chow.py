@@ -600,9 +600,9 @@ def solved_by_pivot_search(pres):
         # rel = c*x + rest with c = +-1, so x = -c * rest = x - c * rel
         image = MultiPoly.var(name) - c * relations.pop(k)
         step = {name: image}
-        relations = [chow._apply(r, step) for r in relations]
+        relations = [r.specialize(step) for r in relations]
         relations = [r for r in relations if not r.is_zero()]
-        substitution = {v: chow._apply(p, step) for v, p in substitution.items()}
+        substitution = {v: p.specialize(step) for v, p in substitution.items()}
         substitution[name] = image
         variables.remove(name)
     reduced = GradedPresentation(

@@ -269,12 +269,28 @@ def test_chow_rejects_compare_sr_on_sr(capsys):
         ("thmD", "--curve", "symbolic", "--ell", "0"),
         ("keel", "--curve", "symbolic"),
         ("keel", "--ell", "2"),
+        ("compare", "--curve", "symbolic", "--ell", "3"),
+        ("compare", "--ell", "3"),
     ],
 )
 def test_chow_parameter_errors(capsys, extra):
     code, _, err = run(capsys, "chow", extra[0], "--n", "2", "--i", "1", *extra[1:])
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+def test_chow_compare_needs_the_p1_base(capsys):
+    code, out, err = run(
+        capsys, "chow", "compare", "--n", "2", "--i", "1",
+        "--curve", "symbolic", "--ell", "3",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: chow compare: needs --curve p1 and --ell 1\n"
+    # the report already holds the graded groups and the SR comparison
+    code, _, _ = run(
+        capsys, "chow", "compare", "--n", "2", "--i", "1", "--groups", "--compare-sr"
+    )
+    assert code == EXIT_OK
 
 
 def test_chow_sr_ignores_curve(capsys):

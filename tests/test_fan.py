@@ -368,6 +368,14 @@ def larger_hilb_fans(n):
     return fans
 
 
+def test_census_of_a_fan_with_no_maximal_cone():
+    # the origin is a cone even when no maximal cone is given
+    fan = StackyFan(2, [Ray("a", (1, 0))], [])
+    assert fan.census() == (1, 0, 0)
+    assert fan.face_masks() == {0}
+    assert fan_motive(fan) == (MultiPoly.var("L") - 1) ** 2
+
+
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_fan_defect_accepts_hilb_fans(n):
     for fan in larger_hilb_fans(n):

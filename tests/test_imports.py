@@ -90,3 +90,30 @@ def test_unreferenced_private_function_is_found():
         "helpers.py: _unused (line 3)",
         "users.py: _idle (line 7)",
     ]
+
+
+def private_imports(source: str):
+    """Names starting with ``_`` that a ``from .module import`` brings in from
+    another module of the package."""
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_is_found():
+    source = (
+        "from .chow import BaseRing, _apply\n"
+        "from . import _helpers\n"
+        "from typing import _SpecialForm\n"
+        "from .poly import MultiPoly as _MP\n"
+    )
+    assert private_imports(source) == ["_apply (line 1)", "_helpers (line 2)"]

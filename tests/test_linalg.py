@@ -8,10 +8,11 @@ sympy, when installed) on random matrices.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from loghilb.linalg import (
     det,
@@ -374,6 +375,32 @@ def test_invariant_factors_match_sympy(m):
     assert invariant_factors(m) == expected
 
 
+def fixed_point_gcd_lcm(entries) -> List[int]:
+    """Oracle for the normalization in ``invariant_factors``: pairwise gcd/lcm
+    passes over the diagonal, repeated until one pass changes nothing."""
+    diag = list(entries)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                if diag[j] % diag[i] != 0:
+                    g = gcd(diag[i], diag[j])
+                    diag[i], diag[j] = g, diag[i] * diag[j] // g
+                    changed = True
+    return sorted(diag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=200), max_size=7))
+@example((4, 6, 10))
+@example((12, 18, 8, 27))
+def test_invariant_factors_of_a_diagonal_match_fixed_point_oracle(entries):
+    n = len(entries)
+    diagonal = [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)]
+    assert invariant_factors(diagonal) == fixed_point_gcd_lcm(entries)
+
+
 def test_hermite_row_style():
     m = [[2, 3, 6, 2], [5, 6, 1, 6], [8, 3, 1, 1]]
     h = hermite_normal_form(m)
@@ -433,6 +460,9 @@ def full_row_hermite_normal_form(m) -> Matrix:
 
 @settings(max_examples=300, deadline=None)
 @given(int_matrices(max_rows=8, max_cols=8))
+# first columns that take three and seven Euclidean rounds over several live rows
+@example([[21, 1, 0], [13, 2, 1], [8, 0, 3], [5, 1, 1], [0, 4, 2], [34, 3, 5]])
+@example([[18, 1, 2], [28, 0, 1], [33, 2, 0], [-18, 1, 1], [-36, 3, 0], [-44, 0, 1]])
 def test_hermite_suffix_updates_match_full_row_oracle(m):
     before = [list(row) for row in m]
     assert hermite_normal_form(m) == full_row_hermite_normal_form(m)

@@ -36,11 +36,9 @@ def series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
 
 def specialize_term_by_term(p: MultiPoly, substitution) -> MultiPoly:
     """Oracle for ``MultiPoly.specialize``: each term's image built with
-    ``MultiPoly`` products and powers, and added up one term at a time."""
-    missing = [v for v in p.vars if v not in substitution]
-    if missing:
-        raise KeyError(f"no substitution for variables {missing}")
-    subs = [MultiPoly._coerce(substitution[v]) for v in p.vars]
+    ``MultiPoly`` products and powers, and added up one term at a time; a
+    variable the map does not name stays as it is."""
+    subs = [MultiPoly._coerce(substitution.get(v, MultiPoly.var(v))) for v in p.vars]
     total = MultiPoly.const(0)
     for exp, c in p.terms.items():
         term = MultiPoly.const(c)
@@ -119,8 +117,11 @@ def test_specialize():
     p = x ** 2 + y
     assert p.specialize({"x": 2, "y": 3}) == MultiPoly.const(7)
     assert p.specialize({"x": y, "y": ZERO}) == y ** 2
-    with pytest.raises(KeyError):
-        p.specialize({"x": 1})
+    # a variable the map does not name stays
+    assert p.specialize({"x": 1}) == 1 + y
+    # a map that names no variable gives back an equal polynomial
+    assert p.specialize({"z": 5}) == p
+    assert p.specialize({}) == p
 
 
 def test_specialize_to_constants_and_zero():
@@ -274,9 +275,8 @@ def sparse_polys(max_exponent, max_terms):
 )
 def test_specialize_matches_term_by_term(p, images):
     # variables without an image keep their own name
-    substitution = {v: images.get(v, MultiPoly.var(v)) for v in p.vars}
-    expected = specialize_term_by_term(p, substitution)
-    result = p.specialize(substitution)
+    expected = specialize_term_by_term(p, images)
+    result = p.specialize(images)
     assert result == expected
     assert result.vars == expected.vars
     assert all(c != 0 for c in result.terms.values())
@@ -337,6 +337,36 @@ def test_product_matches_double_loop(p, q):
 @given(polys_over_some_variables(2, 3), st.integers(min_value=0, max_value=6))
 def test_power_matches_repeated_product(p, k):
     assert p ** k == reduce(operator.mul, [p] * k, ONE)
+
+
+def sum_by_names(p: MultiPoly, q: MultiPoly):
+    """Oracle for ``MultiPoly.__add__``: the terms of both, each monomial kept
+    as a set of (variable, exponent) pairs, added one term at a time."""
+    out = by_names(p)
+    for key, c in by_names(q).items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_over_some_variables(3, 5), polys_over_some_variables(3, 5), st.data())
+def test_addition_matches_term_by_term(p, q, data):
+    # overlapping and disjoint variable lists come from the draws; q takes
+    # the negatives of a drawn share of p's terms, so sums cancel, some to zero
+    merged = tuple(sorted(set(p.vars) | set(q.vars)))
+    terms = q.embedded(merged)
+    for exp, c in p.embedded(merged).items():
+        if data.draw(st.booleans()):
+            terms[exp] = -c
+    q = MultiPoly(merged, terms)
+    expected = sum_by_names(p, q)
+    for total in (p + q, q + p, p - (-q)):
+        assert by_names(total) == expected
+        assert total.vars == tuple(sorted({v for key in expected for v, _ in key}))
+        assert all(c != 0 for c in total.terms.values())
+    assert p + (-p) == ZERO and (p + (-p)).vars == ()
+    assert by_names(p + 3) == sum_by_names(p, MultiPoly.const(3))
+    assert by_names(3 + p) == sum_by_names(p, MultiPoly.const(3))
 
 
 sum_items = st.one_of(polys_over_some_variables(2, 4), st.integers(-3, 3))
