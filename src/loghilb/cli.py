@@ -60,7 +60,8 @@ EXIT_CHECK_FAILED = 3
 # at most 1.31 s, as star subdivisions derive their new cones' determinants;
 # every chow sr --groups, thmD --compare-sr, keel --groups and compare run takes
 # at most 0.3-0.4 s at n = 6 and at most 3.3-5.1 s at n = 7 (keel --n 7 --i 0 or
-# 1 --groups), for every i; motive --ell 3 --N 12 takes 24 s.  Graded groups are
+# 1 --groups), for every i; motive --ell 3 --N 12 takes 13-14 s, and the motive
+# cap stays until a benchmark record sets it.  Graded groups are
 # computed only over the p1 base, which takes a single marking (sr ignores --ell,
 # keel and compare refuse any other), so the chow cap on n bounds every graded
 # job; symbolic multi-marking presentations print without graded groups (thmD
@@ -74,12 +75,15 @@ class UsageError(ValueError):
     """Invalid parameter combination detected after parsing."""
 
 
-def _check_cap(n: int, cap: int, what: str, force: bool) -> None:
+def _check_cap(n: int, cap: int, what: str, force: bool, flag: str = "n") -> None:
+    """Refuse a negative size, or one above its cap without --force; the
+    message names the size by its flag (``n``, or ``N`` for motive)."""
     if n < 0:
-        raise UsageError(f"{what}: n must be non-negative")
+        raise UsageError(f"{what}: {flag} must be non-negative")
     if n > cap and not force:
         raise UsageError(
-            f"{what}: n = {n} exceeds the safety cap {cap} (pass --force to override)"
+            f"{what}: {flag} = {n} exceeds the safety cap {cap}"
+            " (pass --force to override)"
         )
 
 
@@ -339,7 +343,7 @@ def _mode(args: argparse.Namespace) -> ZetaMode:
 
 
 def cmd_motive(args: argparse.Namespace) -> Result:
-    _check_cap(args.N, MAX_N_MOTIVE, "motive", args.force)
+    _check_cap(args.N, MAX_N_MOTIVE, "motive", args.force, "N")
     if args.ell < 1:
         raise UsageError("motive: need at least one marking")
     mode = _mode(args)

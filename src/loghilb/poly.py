@@ -4,7 +4,11 @@ A polynomial is stored as a map from exponent tuples to nonzero integer
 coefficients, together with a sorted tuple of variable names.  Variables
 that occur in no term are pruned, and variable lists of two operands are
 merged by name, so polynomials built independently compose safely and
-equal polynomials compare equal structurally.  Each kernel operation has one
+equal polynomials compare equal structurally.  The canonical form is
+re-derived only when the input is not already canonical: once its zero
+coefficients are dropped, a term map over a sorted variable list in which
+every variable occurs is kept as it is, and over the integers every product
+of canonical operands is such a map.  Each kernel operation has one
 implementation: the term product ``_times``, the exponent embedding
 ``embedded``, the substitution ``specialize`` and the sum ``MultiPoly.sum``,
 which ``+`` and ``-`` call.
@@ -28,12 +32,18 @@ class NonUnitDenominatorError(ValueError):
 def _canonicalize(
     variables: Sequence[str], terms: Mapping[Exponent, int]
 ) -> Tuple[Tuple[str, ...], Dict[Exponent, int]]:
-    """Drop zero coefficients, prune unused variables, sort variables."""
+    """Drop zero coefficients, prune unused variables, sort variables.
+
+    When every variable occurs and the list is already sorted, the cleaned
+    map is returned as it is; only other inputs are pruned and re-indexed.
+    """
     clean = {exp: c for exp, c in terms.items() if c != 0}
     if not clean:
         return (), {}
     nvars = len(variables)
     used = [any(exp[i] != 0 for exp in clean) for i in range(nvars)]
+    if all(used) and all(a <= b for a, b in zip(variables, variables[1:])):
+        return tuple(variables), clean
     kept = [i for i in range(nvars) if used[i]]
     names = [variables[i] for i in kept]
     order = sorted(range(len(names)), key=lambda j: names[j])
@@ -81,13 +91,15 @@ class MultiPoly:
     def sum(polys: Iterable["MultiPoly | int"]) -> "MultiPoly":
         """Sum of the polynomials of an iterable, read once.
 
-        The terms go into one map as they arrive; the map is re-indexed only
-        when a polynomial brings a new variable, and the result is
-        canonicalized once, at the end.
+        The running variable list and term map start as a copy of the first
+        polynomial's; the terms of each later one go into that map as they
+        arrive, the map is re-indexed only when a polynomial brings a new
+        variable, and the result is canonicalized once, at the end.
         """
-        names: Tuple[str, ...] = ()
-        total: Dict[Exponent, int] = {}
-        for p in polys:
+        items = iter(polys)
+        first = MultiPoly._coerce(next(items, 0))
+        names, total = first.vars, dict(first.terms)
+        for p in items:
             p = MultiPoly._coerce(p)
             terms = p.terms
             if p.vars != names:

@@ -122,6 +122,20 @@ def test_fan_cap_and_force(capsys):
     assert code == EXIT_OK
 
 
+def test_motive_errors_name_the_N_flag(capsys):
+    # motive takes its size as --N, so its errors say N, not n
+    over = cli.MAX_N_MOTIVE + 1
+    code, out, err = run(capsys, "motive", "--N", str(over))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: motive: N = {over} exceeds the safety cap {cli.MAX_N_MOTIVE}"
+        " (pass --force to override)\n"
+    )
+    code, out, err = run(capsys, "motive", "--N", "-1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: motive: N must be non-negative\n"
+
+
 def test_caps_ignore_the_environment(capsys, monkeypatch):
     # no environment variable moves a cap, up or down
     monkeypatch.setenv("LOGHILB_MAX_N", "1")

@@ -408,3 +408,45 @@ def test_streaming_sum_reads_a_one_shot_generator_once():
     assert MultiPoly.sum(gen) == sum((x ** k for k in range(5)), ZERO)
     assert seen == [0, 1, 2, 3, 4]
     assert next(gen, None) is None
+
+
+def canonicalize_by_pruning(variables, terms):
+    """Oracle for ``poly._canonicalize``: drop zero coefficients, prune the
+    unused variables, sort the rest and re-index every exponent, whatever the
+    input; the fast path for canonical input is left out."""
+    clean = {exp: c for exp, c in terms.items() if c != 0}
+    if not clean:
+        return (), {}
+    kept = [i for i in range(len(variables)) if any(exp[i] != 0 for exp in clean)]
+    reindex = sorted(kept, key=lambda i: variables[i])
+    return (
+        tuple(variables[i] for i in reindex),
+        {tuple(exp[i] for i in reindex): c for exp, c in clean.items()},
+    )
+
+
+@st.composite
+def raw_term_maps(draw):
+    """A variable list, sorted or not, with a term map over it that may have
+    zero coefficients and variables that occur in no term."""
+    names = draw(st.lists(st.sampled_from(VARIABLES + ("z",)), unique=True, max_size=4))
+    if draw(st.booleans()):
+        names.sort()
+    unused = draw(st.sets(st.integers(0, len(names) - 1))) if names else set()
+    exponents = st.tuples(
+        *[st.just(0) if i in unused else st.integers(0, 2) for i in range(len(names))]
+    )
+    terms = draw(st.dictionaries(exponents, st.integers(-2, 2), max_size=6))
+    return tuple(names), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_term_maps())
+def test_canonicalize_matches_the_pruning_path(raw):
+    variables, terms = raw
+    names, result = poly._canonicalize(variables, terms)
+    want_names, want = canonicalize_by_pruning(variables, terms)
+    assert names == want_names
+    # the same terms in the same order, so every printed form is unchanged
+    assert list(result.items()) == list(want.items())
+    assert result is not terms
