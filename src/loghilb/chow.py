@@ -33,7 +33,7 @@ from collections import Counter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .fan import StackyFan, blowup_levels
+from .fan import StackyFan, blowup_centre, blowup_levels
 from .linalg import ReducedForm, reduced_form
 from .poly import Exponent, MultiPoly, ZERO
 from .strata import StratumProfile
@@ -400,10 +400,10 @@ def eps_name(j: int, r: int = 1) -> str:
 def sr_generator_map(n: int, i: int) -> Dict[str, MultiPoly]:
     """Degree-1 map from the single-marking blow-up presentation over P^n to the
     SR ring of ``fan.hilb_fan(n, i)``: H to tau, and the exceptional divisor of
-    level j to rho_j, the ray that level's star subdivision adds."""
+    level j to the ray that ``fan.blowup_centre`` names for that level."""
     gen_map = {HYPERPLANE: MultiPoly.var("tau")}
     for j in blowup_levels(n, i):
-        gen_map[eps_name(j)] = MultiPoly.var(f"rho_{j}")
+        gen_map[eps_name(j)] = MultiPoly.var(blowup_centre(n, j, "0")[0])
     return gen_map
 
 

@@ -5,10 +5,14 @@ subdivisions that model the toric degrees of freedom of length-n
 subschemes on the line relative to one or both toric fixed points.  All
 ray generators are stored primitive, so no extra stacky data is carried.
 
+Each subdivision is a weighted blow-up at a centre: a cone with a positive
+weight on each of its rays.  ``blowup_centre`` states every level's centre.
+
 Cones are stored via their maximal cones only, each with the determinant
 of its rays; faces are derived on demand, as bitmasks over ray indices.
-A star subdivision derives its new cones' determinants, with no memo.
-Fans are immutable values and all operations are pure.
+A star subdivision derives its new cones' determinants from the weights,
+with no solve and no memo.  Fans are immutable values and all operations
+are pure.
 """
 
 from __future__ import annotations
@@ -90,13 +94,6 @@ class StackyFan:
         self.cone_dets: Mapping[FrozenSet[int], int] = MappingProxyType(dets)
 
     # -- queries -------------------------------------------------------
-
-    def ray_index(self, v: Sequence[int]) -> Optional[int]:
-        vv = tuple(v)
-        for i, ray in enumerate(self.rays):
-            if ray.vector == vv:
-                return i
-        return None
 
     def labels(self, cone) -> Tuple[str, ...]:
         return tuple(self.rays[i].label for i in sorted(cone))
@@ -315,57 +312,81 @@ def projective_fan(n: int) -> StackyFan:
     return StackyFan(n, rays, cones)
 
 
-def _locate(fan: StackyFan, v: Vector) -> Tuple[int, Dict[int, int]]:
-    """The determinant d of the first maximal cone holding v, and v's Cramer
-    numerators d * x_r there on its minimal cone's rays r (d * d * x_r > 0)."""
-    if all(x == 0 for x in v):
+def minimal_cone(fan: StackyFan, v: Sequence[int]) -> FrozenSet[int]:
+    """The unique cone whose relative interior contains v: the rays on which
+    v has a positive coordinate in the first maximal cone that holds v."""
+    vv = tuple(int(x) for x in v)
+    if all(x == 0 for x in vv):
         raise FanError("zero vector has no minimal cone")
     for cone in fan.max_cones:
-        idx, d, numerators = fan._cramer(cone, v)
+        idx, d, numerators = fan._cramer(cone, vv)
         if all(d * x >= 0 for x in numerators):
-            return d, {i: x for i, x in zip(idx, numerators) if d * x > 0}
-    raise FanError(f"vector {v} lies outside the support of the fan")
-
-
-def minimal_cone(fan: StackyFan, v: Sequence[int]) -> FrozenSet[int]:
-    """The unique cone whose relative interior contains v."""
-    return frozenset(_locate(fan, tuple(int(x) for x in v))[1])
+            return frozenset(i for i, x in zip(idx, numerators) if d * x > 0)
+    raise FanError(f"vector {vv} lies outside the support of the fan")
 
 
 def star_subdivide(
-    fan: StackyFan, v: Sequence[int], label: Optional[str] = None
+    fan: StackyFan, centre: Sequence[Tuple[str, int]], label: Optional[str] = None
 ) -> StackyFan:
-    """Standard star subdivision at a primitive vector inside the support.
+    """Weighted star subdivision at a centre, given as (ray label, weight) pairs.
 
-    Subdividing at an existing ray is a silent no-op: the corresponding
-    modification of the moduli problem is an isomorphism.
+    The new ray v is the primitive vector on ``sum(w_r * u_r)``, of gcd g.
+    Each maximal cone C holding the centre gives way to ``(C - {r}) + {v}`` for
+    each centre ray r; kept cones keep their determinants.  A one-ray centre is
+    a silent no-op: the modification of the moduli problem is an isomorphism.
 
-    Kept cones keep their determinants.  A new cone F + {v}, F = C - {r}, has
-    det(F + [v]) = det(F + [r]) * x_r, as v is x_r * r plus rays of F.
+    As v is ``(w_r / g) * u_r`` plus rays of F = C - {r}, the new cone has
+    det(F + [v]) = det(F + [r]) * w_r / g, an exact division: no solve and no
+    determinant is computed.
     """
-    vv = tuple(int(x) for x in v)
-    if not is_primitive(vv):
-        raise FanError(f"subdivision vector {vv} is not primitive")
-    if fan.ray_index(vv) is not None:
+    names = "{" + ", ".join(name for name, _ in centre) + "}"
+    index = {ray.label: i for i, ray in enumerate(fan.rays)}
+    weights: Dict[int, int] = {}
+    for name, w in centre:
+        if name not in index:
+            raise FanError(f"centre {names} names no ray {name}")
+        if w < 1:
+            raise FanError(f"centre {names} gives {name} weight {w} < 1")
+        weights[index[name]] = w
+    if not weights:
+        raise FanError("the centre names no ray")
+    if len(weights) == 1:
         return fan
-    d, numerators = _locate(fan, vv)
+    if not any(weights.keys() <= cone for cone in fan.max_cones):
+        raise FanError(f"centre {names} lies in no maximal cone")
+    total = [0] * fan.dim
+    for r, w in weights.items():
+        total = [x + w * y for x, y in zip(total, fan.rays[r].vector)]
+    g = gcd(*total)
     new_index = len(fan.rays)
-    rays = list(fan.rays) + [Ray(label or f"ray_{new_index}", vv)]
+    rays = fan.rays + (Ray(label or f"ray_{new_index}", tuple(x // g for x in total)),)
     dets: Dict[FrozenSet[int], int] = {}
     for cone, cone_det in fan.cone_dets.items():
-        if not numerators.keys() <= cone:
+        if not weights.keys() <= cone:
             dets[cone] = cone_det
             continue
-        for r, num in numerators.items():
-            dets[(cone - {r}) | {new_index}] = fan._side(cone - {r}, r) * num // d
+        for r, w in weights.items():
+            dets[(cone - {r}) | {new_index}] = fan._side(cone - {r}, r) * w // g
     return StackyFan(fan.dim, rays, dets.keys(), cone_dets=dets)
 
 
-def rho_vector(n: int, j: int) -> Vector:
-    """Primitive generator of the exceptional ray of the j-th blow-up level."""
+def blowup_centre(n: int, j: int, side: str) -> Tuple[str, Tuple[Tuple[str, int], ...]]:
+    """The new ray's label and the centre's (ray label, weight) pairs for the
+    weighted blow-up of level j at marking ``side``, "0" or "inf".
+
+    At marking 0, ``rho_j`` blows up sigma_(n-j+k) at weight k, k = 1..j.
+    Inverting the line's coordinate swaps the markings and sends sigma_k to
+    sigma_(n-k) for k < n and sigma_n to tau; so at marking inf, ``rho_inf_j``
+    blows up sigma_k at weight j - k, k = 1..j-1, and tau at weight j.
+    """
     if not 1 <= j <= n:
         raise FanError("ray level out of range")
-    return tuple(k + j - n if k >= n - j + 1 else 0 for k in range(1, n + 1))
+    if side == "0":
+        return f"rho_{j}", tuple((f"sigma_{n - j + k}", k) for k in range(1, j + 1))
+    if side == "inf":
+        sigmas = tuple((f"sigma_{k}", j - k) for k in range(1, j))
+        return f"rho_inf_{j}", sigmas + (("tau", j),)
+    raise FanError(f"marking {side!r} is neither '0' nor 'inf'")
 
 
 def blowup_levels(n: int, i: int) -> range:
@@ -385,13 +406,17 @@ def blowup_levels(n: int, i: int) -> range:
 def hilb_fan(n: int, i: int) -> StackyFan:
     """Fan of the moduli of n points on the line relative to one origin marking.
 
-    Built by star subdivision of the projective fan at the exceptional
-    rays of ``blowup_levels(n, i)``.
+    Built from the projective fan by the weighted star subdivisions at the
+    marking-0 centres of ``blowup_levels(n, i)``, top level first.
     """
     levels = blowup_levels(n, i)
-    fan = projective_fan(n)
+    return _blow_up(projective_fan(n), n, "0", levels)
+
+
+def _blow_up(fan: StackyFan, n: int, side: str, levels: range) -> StackyFan:
     for j in levels:
-        fan = star_subdivide(fan, rho_vector(n, j), label=f"rho_{j}")
+        label, centre = blowup_centre(n, j, side)
+        fan = star_subdivide(fan, centre, label)
     return fan
 
 
@@ -420,40 +445,13 @@ def is_palindromic(motive: MultiPoly) -> bool:
     return coeffs == coeffs[::-1]
 
 
-def involution_matrix(n: int) -> List[List[int]]:
-    """Lattice involution induced by inverting the line's coordinate.
-
-    On characters the involution sends the degree-k elementary symmetric
-    function to the degree-(n-k) one divided by the top one; the map
-    below is its adjoint on the cocharacter lattice.
-    """
-    m = [[0] * n for _ in range(n)]
-    for k in range(1, n):
-        m[n - k - 1][k - 1] = 1
-    for j in range(n):
-        m[j][n - 1] = -1
-    return m
-
-
-def apply_matrix(m: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
-def rho_inf_vector(n: int, j: int) -> Vector:
-    return apply_matrix(involution_matrix(n), rho_vector(n, j))
-
-
 def hilb_fan_two_sided(n: int, i_zero: int, i_inf: int) -> StackyFan:
     """Fan for points on the line relative to both toric fixed points.
 
-    The rays on the infinity side are the images of the exceptional rays
-    under the coordinate-inversion involution; correctness is accepted
-    via census and Euler-characteristic cross-checks, not assumed.
+    The marking-0 centres of ``blowup_levels(n, i_zero)`` are blown up first,
+    then the marking-inf centres of ``blowup_levels(n, i_inf)``.  Correctness
+    is accepted via census and Euler-characteristic cross-checks, not assumed.
     """
     zero_levels, inf_levels = blowup_levels(n, i_zero), blowup_levels(n, i_inf)
-    fan = projective_fan(n)
-    for j in zero_levels:
-        fan = star_subdivide(fan, rho_vector(n, j), label=f"rho_{j}")
-    for j in inf_levels:
-        fan = star_subdivide(fan, rho_inf_vector(n, j), label=f"rho_inf_{j}")
-    return fan
+    fan = _blow_up(projective_fan(n), n, "0", zero_levels)
+    return _blow_up(fan, n, "inf", inf_levels)

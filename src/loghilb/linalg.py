@@ -21,7 +21,7 @@ form are the variables to eliminate, and their residues are their images.
 Square systems have one fraction-free (Bareiss) elimination, which serves
 both ``det`` and ``fraction_free_solve``: one pass over ``[m | b]`` gives
 the determinant and every Cramer numerator at once.  From them the fan layer
-reads cone membership and, with no memo, a subdivision's new determinants.
+reads cone membership; star subdivision needs neither.
 
 ``in_row_span_z`` (a Hermite form per query) and ``rational_solve``
 (Cramer's rule over ``Fraction``, imported on call) are test oracles; they

@@ -69,7 +69,7 @@ class MultiPoly:
     __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, int]):
-        v, t = _canonicalize(tuple(variables), dict(terms))
+        v, t = _canonicalize(tuple(variables), terms)
         object.__setattr__(self, "vars", v)
         object.__setattr__(self, "terms", t)
         object.__setattr__(self, "_hash", None)

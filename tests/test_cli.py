@@ -58,6 +58,21 @@ def test_fan_two_sided_cross_check(capsys):
     assert "'euler_characteristic': True" in out
 
 
+@pytest.mark.parametrize("levels", [(0, 0), (0, 1), (1, 0), (2, 1), (1, 2)])
+def test_fan_series_checks_wherever_both_levels_are_at_most_one(capsys, levels):
+    # level 0 is level 1, so (0, 0) and (0, 1) build the fully subdivided fan
+    i, i_inf = map(str, levels)
+    argv = ["fan", "--n", "3", "--i", i, "--markings", "0+inf", "--i-inf", i_inf]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    checks = json.loads(out)["checks"]
+    series = {"motive_matches_two_marking_series", "euler_characteristic"}
+    if max(levels) <= 1:
+        assert all(checks[key] for key in series)
+    else:
+        assert not series & checks.keys()
+
+
 def test_fan_deterministic_output(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

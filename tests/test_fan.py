@@ -13,18 +13,15 @@ from loghilb.fan import (
     FanError,
     Ray,
     StackyFan,
-    apply_matrix,
+    blowup_centre,
     blowup_levels,
     fan_motive,
     hilb_fan,
     hilb_fan_two_sided,
-    involution_matrix,
     is_palindromic,
     is_primitive,
     minimal_cone,
     projective_fan,
-    rho_inf_vector,
-    rho_vector,
     star_subdivide,
 )
 from loghilb.poly import MultiPoly
@@ -128,28 +125,86 @@ def test_minimal_cone():
 
 
 def test_star_subdivide_noop_at_existing_ray():
+    # a one-ray centre is that ray
     fan = projective_fan(2)
-    assert star_subdivide(fan, (1, 0)) is fan
-
-
-def test_star_subdivide_requires_primitive():
-    with pytest.raises(FanError):
-        star_subdivide(projective_fan(2), (2, 2))
+    assert star_subdivide(fan, [("sigma_1", 1)]) is fan
+    assert star_subdivide(fan, [("tau", 3)], label="unused") is fan
 
 
 def test_star_subdivide_interior_point():
-    fan = star_subdivide(projective_fan(2), (1, 1), label="mid")
+    fan = star_subdivide(projective_fan(2), [("sigma_1", 1), ("sigma_2", 1)], "mid")
+    assert fan.rays[-1] == Ray("mid", (1, 1))
     assert fan.census() == (1, 4, 4)
     assert fan.is_complete()
     assert fan.check_intersections_are_faces()
+    unnamed = star_subdivide(projective_fan(2), [("sigma_2", 1), ("tau", 2)])
+    assert unnamed.rays[-1] == Ray("ray_3", (-2, -1))
+    assert_cone_dets_match_det(unnamed)
 
 
-def test_rho_vectors():
-    assert rho_vector(4, 4) == (1, 2, 3, 4)
-    assert rho_vector(4, 3) == (0, 1, 2, 3)
-    assert rho_vector(4, 1) == (0, 0, 0, 1)
-    with pytest.raises(FanError):
-        rho_vector(3, 0)
+@pytest.mark.parametrize(
+    "weights",
+    [((2, 2), (1, 1)), ((2, 4, 6), (1, 2, 3)), ((3, 6, 9), (1, 2, 3))],
+)
+def test_star_subdivide_divides_out_the_gcd_of_the_weights(weights):
+    scaled, coprime = weights
+    base = projective_fan(len(scaled))
+    centre = lambda ws: [(f"sigma_{k}", w) for k, w in enumerate(ws, start=1)]
+    fan = star_subdivide(base, centre(scaled), "new")
+    same = star_subdivide(base, centre(coprime), "new")
+    assert fan.rays == same.rays and fan.rays[-1].vector == coprime
+    assert fan.max_cones == same.max_cones
+    assert fan.cone_dets == same.cone_dets
+    assert_cone_dets_match_det(fan)
+
+
+@pytest.mark.parametrize(
+    "base, centre, message",
+    [
+        (
+            projective_fan(2),
+            [("sigma_1", 1), ("rho_9", 1)],
+            "centre {sigma_1, rho_9} names no ray rho_9",
+        ),
+        (
+            projective_fan(2),
+            [("sigma_1", 1), ("sigma_2", 0)],
+            "centre {sigma_1, sigma_2} gives sigma_2 weight 0 < 1",
+        ),
+        (projective_fan(2), [("tau", -2)], "centre {tau} gives tau weight -2 < 1"),
+        (
+            projective_fan(2),
+            [("sigma_1", 1), ("sigma_2", 1), ("tau", 1)],
+            "centre {sigma_1, sigma_2, tau} lies in no maximal cone",
+        ),
+        # rho_2 subdivided the cone {sigma_1, sigma_2}, so it is a cone no more
+        (
+            hilb_fan(2, 1),
+            [("sigma_1", 1), ("sigma_2", 1)],
+            "centre {sigma_1, sigma_2} lies in no maximal cone",
+        ),
+        (projective_fan(2), [], "the centre names no ray"),
+    ],
+)
+def test_star_subdivide_refusals(base, centre, message):
+    with pytest.raises(FanError) as refused:
+        star_subdivide(base, centre)
+    assert str(refused.value) == message
+
+
+def test_blowup_centres():
+    assert blowup_centre(4, 3, "0") == (
+        "rho_3",
+        (("sigma_2", 1), ("sigma_3", 2), ("sigma_4", 3)),
+    )
+    assert blowup_centre(4, 3, "inf") == (
+        "rho_inf_3",
+        (("sigma_1", 2), ("sigma_2", 1), ("tau", 3)),
+    )
+    assert blowup_centre(4, 1, "inf") == ("rho_inf_1", (("tau", 1),))
+    for n, j, side in ((3, 0, "0"), (3, 4, "inf"), (3, 2, "1")):
+        with pytest.raises(FanError):
+            blowup_centre(n, j, side)
 
 
 def test_hilb_fan_2_1_exact_rays():
@@ -235,43 +290,108 @@ def test_fan_motive_projective_space():
     assert fan_motive(projective_fan(3)) == L ** 3 + L ** 2 + L + 1
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+# -- the stated centres against the ray formulas they replace ---------------
+
+
+def rho_vector(n, j):
+    """Oracle: the exceptional ray of level j at marking 0, by its formula."""
+    return tuple(k + j - n if k >= n - j + 1 else 0 for k in range(1, n + 1))
+
+
+def invert(v):
+    """Oracle: the lattice involution induced by inverting the line's
+    coordinate, the adjoint of the map on characters that sends the degree-k
+    elementary symmetric function to the degree-(n-k) one over the top one:
+    v_k - v_n at place n - k for k < n, and -v_n last."""
+    return tuple(x - v[-1] for x in v[-2::-1]) + (-v[-1],)
+
+
+def ray_vectors(fan):
+    return {r.label: r.vector for r in fan.rays}
+
+
+def test_rho_vectors():
+    assert ray_vectors(hilb_fan(4, 1)).items() >= {
+        "rho_4": (1, 2, 3, 4),
+        "rho_3": (0, 1, 2, 3),
+        "rho_2": (0, 0, 1, 2),
+    }.items()
+    assert rho_vector(4, 1) == (0, 0, 0, 1)
+
+
+def test_rho_inf_vectors():
+    assert ray_vectors(hilb_fan_two_sided(2, 2, 1))["rho_inf_2"] == (-1, -2)
+    assert ray_vectors(hilb_fan_two_sided(3, 3, 1)).items() >= {
+        "rho_inf_3": (-1, -2, -3),
+        "rho_inf_2": (-1, -2, -2),
+    }.items()
+
+
+def centre_grid(n):
+    """Every level pair (i, i-inf) up to n = 7; beyond, i, i-inf in
+    {0, 1, n // 2, n}."""
+    levels = range(n + 1) if n <= 7 else sorted({0, 1, n // 2, n})
+    return [(a, b) for a in levels for b in levels]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_each_level_is_the_weighted_blowup_of_its_cone(n):
-    # level j blows up the cone {sigma_(n-j+1), ..., sigma_n} with weights 1, ..., j
-    for i in range(n + 1):
+    # the search for each level's ray by its formula finds the stated centre,
+    # and the ray's coordinates there are the stated weights
+    for a, b in centre_grid(n):
         fan = projective_fan(n)
-        for j in blowup_levels(n, i):
-            centre = tuple(f"sigma_{n - j + k}" for k in range(1, j + 1))
-            assert fan.labels(minimal_cone(fan, rho_vector(n, j))) == centre
+        steps = [("0", j, rho_vector(n, j)) for j in blowup_levels(n, a)]
+        steps += [("inf", j, invert(rho_vector(n, j))) for j in blowup_levels(n, b)]
+        for side, j, v in steps:
+            label, centre = blowup_centre(n, j, side)
+            assert set(fan.labels(minimal_cone(fan, v))) == {r for r, _ in centre}
             vectors = {ray.label: ray.vector for ray in fan.rays}
             weighted = [0] * n
-            for k, label in enumerate(centre, start=1):
-                weighted = [x + k * y for x, y in zip(weighted, vectors[label])]
-            assert rho_vector(n, j) == tuple(weighted)
-            fan = star_subdivide(fan, rho_vector(n, j), label=f"rho_{j}")
-        assert fan == hilb_fan(n, i)
+            for r, w in centre:
+                weighted = [x + w * y for x, y in zip(weighted, vectors[r])]
+            # the centre's rays are independent, so these are v's coordinates
+            assert tuple(weighted) == v
+            fan = star_subdivide(fan, centre, label)
+            assert fan.rays[-1] == Ray(label, v)
+        built = hilb_fan_two_sided(n, a, b)
+        assert fan.rays == built.rays and fan.cone_dets == built.cone_dets
+        if b == n:
+            assert fan.rays == hilb_fan(n, a).rays
 
 
 def test_involution_is_an_involution():
     for n in (2, 3, 4, 5):
-        m = involution_matrix(n)
-        for v in [rho_vector(n, j) for j in range(1, n + 1)]:
-            assert apply_matrix(m, apply_matrix(m, v)) == v
+        for ray in hilb_fan_two_sided(n, 1, 1).rays:
+            assert invert(invert(ray.vector)) == ray.vector
 
 
 def test_involution_swaps_fixed_points():
-    # e_k -> e_{n-k} for k < n and e_n -> -(1,...,1)
+    # sigma_k <-> sigma_(n-k) for k < n, and sigma_n <-> tau
     n = 4
-    m = involution_matrix(n)
     e = lambda k: tuple(1 if j == k - 1 else 0 for j in range(n))
-    assert apply_matrix(m, e(1)) == e(3)
-    assert apply_matrix(m, e(4)) == (-1, -1, -1, -1)
+    assert invert(e(1)) == e(3) and invert(e(2)) == e(2)
+    assert invert(e(4)) == (-1, -1, -1, -1)
 
 
-def test_rho_inf_vectors():
-    assert rho_inf_vector(2, 2) == (-1, -2)
-    assert rho_inf_vector(3, 3) == (-1, -2, -3)
-    assert rho_inf_vector(3, 2) == (-1, -2, -2)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inf_side_mirrors_the_zero_side(n):
+    # the involution maps each one-sided fan onto its mirror at infinity
+    for i in range(n + 1):
+        zero = hilb_fan(n, i)
+        rays = [Ray(ray.label, invert(ray.vector)) for ray in zero.rays]
+        assert StackyFan(n, rays, zero.max_cones) == hilb_fan_two_sided(n, n, i)
+
+
+def test_fan_builders_make_no_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("fraction_free_solve called")
+
+    monkeypatch.setattr(fan_module, "fraction_free_solve", no_solve)
+    for n in range(1, 7):
+        for i in range(n + 1):
+            hilb_fan(n, i)
+            for k in range(n + 1):
+                hilb_fan_two_sided(n, i, k)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -285,14 +405,13 @@ def test_two_sided_fan_motive_matches_series(n):
 
 def test_two_sided_subdivision_order_independent():
     for n in (2, 3):
-        a = hilb_fan_two_sided(n, 1, 1)
         fan = projective_fan(n)
         # infinity side first, zero side second
-        for j in range(n, 1, -1):
-            fan = star_subdivide(fan, rho_inf_vector(n, j), label=f"rho_inf_{j}")
-        for j in range(n, 1, -1):
-            fan = star_subdivide(fan, rho_vector(n, j), label=f"rho_{j}")
-        assert fan == a
+        for side in ("inf", "0"):
+            for j in range(n, 1, -1):
+                label, centre = blowup_centre(n, j, side)
+                fan = star_subdivide(fan, centre, label)
+        assert fan == hilb_fan_two_sided(n, 1, 1)
 
 
 def test_two_sided_census_symmetric():
@@ -437,27 +556,50 @@ def test_stored_cone_determinants(n):
                 assert fan._side(facet, u) == side
 
 
+def cramer_weights(fan, v):
+    """The rays of v's minimal cone, each with v's Cramer numerator |d * x_r|
+    on the first maximal cone that holds v (d its determinant): weights whose
+    weighted sum of rays is |d| * v."""
+    for cone in fan.max_cones:
+        idx = sorted(cone)
+        d, numerators = linalg.fraction_free_solve(
+            zip(*(fan.rays[i].vector for i in idx)), v
+        )
+        if all(d * x >= 0 for x in numerators):
+            return {i: abs(x) for i, x in zip(idx, numerators) if x}
+    raise AssertionError(f"{v} lies in no maximal cone")
+
+
 @st.composite
 def subdivided_projective_fans(draw):
-    """projective_fan(d), d <= 4, star-subdivided at up to four drawn
-    primitive vectors: either arbitrary ones, or a positive combination of a
-    few rays of one maximal cone, whose minimal cone is then small."""
+    """projective_fan(d), d <= 4, star-subdivided at up to four drawn weighted
+    centres: either an arbitrary vector's minimal cone, weighted by the
+    vector's Cramer numerators there, or a few rays of one maximal cone with
+    drawn weights, whose gcd may exceed 1."""
     dim = draw(st.integers(min_value=1, max_value=4))
     fan = projective_fan(dim)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if draw(st.booleans()):
             v = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+            if not any(v):
+                continue
+            weights = cramer_weights(fan, v)
+            assert weights.keys() == minimal_cone(fan, v)
         else:
             cone = sorted(draw(st.sampled_from(fan.max_cones)))
             face = draw(st.lists(st.sampled_from(cone), min_size=1, unique=True))
-            weights = [draw(st.integers(1, 3)) for _ in face]
+            weights = {i: draw(st.integers(1, 3)) for i in face}
             v = [
-                sum(w * fan.rays[i].vector[k] for w, i in zip(weights, face))
+                sum(w * fan.rays[i].vector[k] for i, w in weights.items())
                 for k in range(dim)
             ]
-        g = gcd(*v)
-        if g:
-            fan = star_subdivide(fan, [x // g for x in v])
+        subdivided = star_subdivide(
+            fan, [(fan.rays[i].label, w) for i, w in weights.items()]
+        )
+        if len(weights) > 1:
+            # the new ray is the primitive vector on v
+            assert subdivided.rays[-1].vector == tuple(x // gcd(*v) for x in v)
+        fan = subdivided
     return fan
 
 
@@ -477,7 +619,7 @@ def test_star_subdivide_computes_no_determinant(monkeypatch):
         return linalg.det(m)
 
     monkeypatch.setattr(fan_module, "det", counted)
-    subdivided = star_subdivide(fan, (2, 3, 5))
+    subdivided = star_subdivide(fan, [("sigma_1", 2), ("sigma_2", 3), ("sigma_3", 5)])
     assert calls == []
     assert len(subdivided.max_cones) == 6
     assert_cone_dets_match_det(subdivided)
@@ -504,7 +646,8 @@ def test_ray_moved_across_its_facet_is_rejected():
 def test_overlapping_extra_cone_is_rejected():
     # the corner cone of projective 3-space, which the rho_3 subdivision split
     base = hilb_fan(3, 2)
-    corner = frozenset(base.ray_index(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    sigmas = ("sigma_1", "sigma_2", "sigma_3")
+    corner = frozenset(i for i, ray in enumerate(base.rays) if ray.label in sigmas)
     assert corner not in base.max_cones
     fan = StackyFan(3, base.rays, base.max_cones + (corner,))
     assert not fan.check_intersections_are_faces()

@@ -74,6 +74,22 @@ def test_canonical_form_drops_zero_terms_and_unused_vars():
     assert p.vars == ("x",)
 
 
+@pytest.mark.parametrize(
+    "variables, terms",
+    [
+        (("x", "y"), {(1, 0): 2, (0, 1): -1}),  # canonical: the fast path
+        (("y", "x"), {(1, 0): 2, (0, 1): 0, (0, 2): 3}),  # pruned and re-indexed
+    ],
+)
+def test_polynomial_keeps_no_reference_to_the_callers_map(variables, terms):
+    p = MultiPoly(variables, terms)
+    before = (p.vars, dict(p.terms))
+    terms[next(iter(terms))] = 7
+    terms[(5, 5)] = 1
+    assert (p.vars, dict(p.terms)) == before
+    assert p.terms is not terms
+
+
 def test_variables_sorted():
     p = MultiPoly.var("b") + MultiPoly.var("a")
     assert p.vars == ("a", "b")
