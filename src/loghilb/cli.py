@@ -2,14 +2,19 @@
 
 Subcommands expose the fan constructions, the Chow-ring presentations with
 their graded groups, the strata enumeration and the generating-function
-tables, each with JSON, CSV or aligned-text output.  Every command is
-deterministic and returns its payload and table rows to ``main``; the
-payload's ``checks`` map holds the verdict of each cross-check the command
-ran, by name.  ``main`` writes the output once and picks the exit code: 0 for
-success, 2 for invalid parameters (an ``n`` above its size cap without
-``--force``, and an ``--output`` path that cannot be written, which is checked
-before computing), 3 when any entry of ``checks`` is false.  Any other error
-is internal and exits 1 with a traceback.
+tables, each with JSON, CSV or aligned-text output.  Each ``chow`` subcommand
+declares only the flags it reads besides ``--n``, ``--i``, ``--format``,
+``--output`` and ``--force``: ``sr`` takes ``--groups``; ``thmD`` ``--curve``,
+``--ell``, ``--groups`` and ``--compare-sr``; ``keel`` ``--groups`` and
+``--compare-sr``; ``compare`` none.  Every command is deterministic and
+returns its payload and table rows to ``main``; the payload's ``checks`` map
+holds the verdict of each cross-check the command ran, by name.  ``main``
+writes the output once and returns the exit code: 0 for success, 2 for
+invalid parameters (a flag the command does not declare, which argparse
+refuses, an ``n`` above its size cap without ``--force``, and an ``--output``
+path that cannot be written, which is checked before computing), 3 when any
+entry of ``checks`` is false.  Any other error is internal and exits 1 with a
+traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import io
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chow import (
     BaseRing,
@@ -43,6 +48,7 @@ from .strata import (
     closed_form,
     enumerate_profiles,
     parse_profile,
+    profile_count,
     stabilizer_bounds,
     strata_classes,
     strata_sum,
@@ -54,19 +60,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
-# caps, which only --force lifts, from single runs on a shared 2-core machine with
-# Python 3.11: every fan run at n = 9 (i in {0, 1, 4, 9}, and two-sided i, i-inf
-# in the same set) takes at most 0.38 s, and at n = 10 (i, i-inf in {0, 1, 5, 10})
-# at most 1.10 s over three passes, as star subdivisions are given their centres
-# and make no solve; the fan cap stays until a benchmark record sets it;
-# every chow sr --groups, thmD --compare-sr, keel --groups and compare run takes
-# at most 0.3-0.4 s at n = 6 and at most 3.3-5.1 s at n = 7 (keel --n 7 --i 0 or
-# 1 --groups), for every i; motive --ell 3 --N 12 takes 13-14 s, and the motive
-# cap stays until a benchmark record sets it.  Graded groups are
-# computed only over the p1 base, which takes a single marking (sr ignores --ell,
-# keel and compare refuse any other), so the chow cap on n bounds every graded
-# job; symbolic multi-marking presentations print without graded groups (thmD
-# --n 6 --ell 6 --curve symbolic takes 0.31 s).
+# size caps, which only --force lifts, set from single runs on a shared 2-core
+# machine with Python 3.11 (README "Size caps" gives the runs and their times).
+# Graded groups are computed only over the p1 base, which takes one marking
+# (only thmD reads --ell), so MAX_N_GROUPS bounds every graded job; motive and
+# strata also bound the profiles their oracle enumerates (``_check_series``).
 MAX_N_FAN = 9
 MAX_N_GROUPS = 7
 MAX_N_MOTIVE = 12
@@ -86,6 +84,40 @@ def _check_cap(n: int, cap: int, what: str, force: bool, flag: str = "n") -> Non
             f"{what}: {flag} = {n} exceeds the safety cap {cap}"
             " (pass --force to override)"
         )
+
+
+def _check_size(args: argparse.Namespace, what: str, cap: int) -> None:
+    """The refusals fan and chow share: ``n`` within its cap, at least 1, and
+    ``0 <= i <= n``."""
+    _check_cap(args.n, cap, what, args.force)
+    if args.n < 1:
+        raise UsageError(f"{what}: need n >= 1")
+    if not 0 <= args.i <= args.n:
+        raise UsageError(f"{what}: need 0 <= i <= n")
+
+
+def _check_series(
+    args: argparse.Namespace, what: str, flag: str, n: int, count: Callable[[int, int], int]
+) -> None:
+    """The refusals motive and strata share: ``n`` (``N`` for motive) within
+    MAX_N_MOTIVE, at least one marking, and, without --force, no more profiles
+    for the oracle to enumerate (``count(n, ell)``) than at MAX_N_MOTIVE with
+    three markings."""
+    _check_cap(n, MAX_N_MOTIVE, what, args.force, flag)
+    if args.ell < 1:
+        raise UsageError(f"{what}: need at least one marking")
+    cap, wanted = count(MAX_N_MOTIVE, 3), count(n, args.ell)
+    if wanted > cap and not args.force:
+        raise UsageError(
+            f"{what}: {flag} = {n} with ell = {args.ell} enumerates {wanted} profiles,"
+            f" above the safety cap {cap} of {flag} = {MAX_N_MOTIVE} with ell = 3"
+            " (pass --force to override)"
+        )
+
+
+def _words(values) -> str:
+    """A list of integers as words, ``-`` when empty."""
+    return " ".join(map(str, values)) or "-"
 
 
 def _check_output(path: str) -> None:
@@ -156,11 +188,7 @@ Result = Tuple[dict, List[dict]]
 
 
 def cmd_fan(args: argparse.Namespace) -> Result:
-    _check_cap(args.n, MAX_N_FAN, "fan", args.force)
-    if args.n < 1:
-        raise UsageError("fan: need n >= 1")
-    if not 0 <= args.i <= args.n:
-        raise UsageError("fan: need 0 <= i <= n")
+    _check_size(args, "fan", MAX_N_FAN)
     if args.markings == "0" and args.i_inf is not None:
         raise UsageError("fan: --i-inf needs --markings 0+inf")
     checks: Dict[str, bool] = {}
@@ -207,44 +235,49 @@ def cmd_fan(args: argparse.Namespace) -> Result:
     return payload, rows
 
 
-def _base_ring(args: argparse.Namespace) -> BaseRing:
-    if args.curve == "p1":
-        if args.ell != 1:
-            raise UsageError("chow: the p1 base supports a single marking")
-        return BaseRing.p1(args.n)
-    return BaseRing.symbolic(args.ell)
-
-
 def cmd_chow(args: argparse.Namespace) -> Result:
-    _check_cap(args.n, MAX_N_GROUPS, "chow", args.force)
-    if args.n < 1:
-        raise UsageError("chow: need n >= 1")
-    if not 0 <= args.i <= args.n:
-        raise UsageError("chow: need 0 <= i <= n")
-    # sr reads neither --curve nor --ell; keel and compare work over p1 only
-    if args.subcommand in ("keel", "compare") and (args.curve != "p1" or args.ell != 1):
-        raise UsageError(f"chow {args.subcommand}: needs --curve p1 and --ell 1")
-    if args.subcommand == "thmD" and args.ell < 1:
+    """Every chow subcommand: the refusals they share, then its handler."""
+    _check_size(args, "chow", MAX_N_GROUPS)
+    return args.handler(args)
+
+
+def _chow_sr(args: argparse.Namespace) -> Result:
+    """Stanley-Reisner presentation of the fan"""
+    fan = hilb_fan(args.n, args.i)
+    payload, rows = _presentation_result(args, sr_presentation(fan), {})
+    if args.groups:
+        # the rank in degree k is the coefficient of L^(n-k) in the motive
+        L = MultiPoly.var("L")
+        ranks = MultiPoly.sum(r["rank"] * L ** (args.n - r["degree"]) for r in rows)
+        payload["checks"]["ranks_match_motive"] = ranks == fan_motive(fan)
+    return payload, rows
+
+
+def _chow_thmD(args: argparse.Namespace) -> Result:
+    """blow-up presentation, all centres at once"""
+    if args.ell < 1:
         raise UsageError("chow thmD: need at least one marking")
-    if args.subcommand == "thmD" and args.curve != "p1" and (
-        args.groups or args.compare_sr
-    ):
+    if args.curve == "p1" and args.ell != 1:
+        raise UsageError("chow: the p1 base supports a single marking")
+    if args.curve == "symbolic" and (args.groups or args.compare_sr):
         raise UsageError("chow thmD: --groups and --compare-sr need --curve p1")
-    if args.subcommand == "sr" and args.compare_sr:
-        raise UsageError("chow: --compare-sr needs thmD or keel in p1 mode")
-    checks: Dict[str, bool] = {}
-    if args.subcommand == "sr":
-        pres = sr_presentation(hilb_fan(args.n, args.i))
-    elif args.subcommand == "thmD":
-        pres = thmD_presentation(args.n, [args.i] * args.ell, _base_ring(args))
-    elif args.subcommand == "keel":
-        base = _base_ring(args)
-        pres = iterated_keel(args.n, args.i, base)
-        checks["matches_direct_presentation"] = ideals_equal(
-            pres, thmD_presentation(args.n, [args.i], base)
-        )
-    else:  # compare
-        return _chow_compare(args)
+    base = BaseRing.p1(args.n) if args.curve == "p1" else BaseRing.symbolic(args.ell)
+    pres = thmD_presentation(args.n, [args.i] * args.ell, base)
+    return _presentation_result(args, pres, {})
+
+
+def _chow_keel(args: argparse.Namespace) -> Result:
+    """blow-up presentation, one weighted blow-up at a time, checked against thmD"""
+    base = BaseRing.p1(args.n)
+    pres = iterated_keel(args.n, args.i, base)
+    direct = thmD_presentation(args.n, [args.i], base)
+    checks = {"matches_direct_presentation": ideals_equal(pres, direct)}
+    return _presentation_result(args, pres, checks)
+
+
+def _presentation_result(args: argparse.Namespace, pres, checks: dict) -> Result:
+    """The relations, or the graded groups once they are computed, and the
+    SR comparison with --compare-sr."""
     payload = {
         "command": f"chow {args.subcommand}",
         "n": args.n,
@@ -260,11 +293,7 @@ def cmd_chow(args: argparse.Namespace) -> Result:
         summary = [g.to_json_dict() for g in graded_groups(pres)]
         payload["graded_groups"] = summary
         rows = [
-            {
-                "degree": g["degree"],
-                "rank": g["rank"],
-                "torsion": " ".join(map(str, g["torsion"])) or "-",
-            }
+            {"degree": g["degree"], "rank": g["rank"], "torsion": _words(g["torsion"])}
             for g in summary
         ]
     if args.compare_sr:
@@ -314,6 +343,7 @@ def _sr_culprit(pres, sr, gen_map: Dict[str, MultiPoly], report: dict) -> str:
 
 
 def _chow_compare(args: argparse.Namespace) -> Result:
+    """blow-up presentation against the Stanley-Reisner ring, degree by degree"""
     pres = thmD_presentation(args.n, [args.i], BaseRing.p1(args.n))
     report = _sr_comparison(args.n, args.i, pres)
     payload = {
@@ -328,8 +358,8 @@ def _chow_compare(args: argparse.Namespace) -> Result:
             "degree": entry["degree"],
             "rank_blowup": entry["source"]["rank"],
             "rank_sr": entry["target"]["rank"],
-            "torsion_blowup": " ".join(map(str, entry["source"]["torsion"])) or "-",
-            "torsion_sr": " ".join(map(str, entry["target"]["torsion"])) or "-",
+            "torsion_blowup": _words(entry["source"]["torsion"]),
+            "torsion_sr": _words(entry["target"]["torsion"]),
             "match": entry["match"],
         }
         for entry in report["graded"]
@@ -337,18 +367,16 @@ def _chow_compare(args: argparse.Namespace) -> Result:
     return payload, rows
 
 
-def _mode(args: argparse.Namespace) -> ZetaMode:
+def cmd_motive(args: argparse.Namespace) -> Result:
+    # the oracle enumerates the profiles of every size up to N
+    _check_series(
+        args, "motive", "N", args.N,
+        lambda N, ell: sum(profile_count(n, ell) for n in range(N + 1)),
+    )
     try:
-        return ZetaMode(args.mode, args.g)
+        mode = ZetaMode(args.mode, args.g)
     except ValueError as exc:
         raise UsageError(f"motive: {exc}") from exc
-
-
-def cmd_motive(args: argparse.Namespace) -> Result:
-    _check_cap(args.N, MAX_N_MOTIVE, "motive", args.force, "N")
-    if args.ell < 1:
-        raise UsageError("motive: need at least one marking")
-    mode = _mode(args)
     series = closed_form(mode, args.ell, args.N)
     rows = [
         {
@@ -373,9 +401,7 @@ def cmd_motive(args: argparse.Namespace) -> Result:
 
 
 def cmd_strata(args: argparse.Namespace) -> Result:
-    _check_cap(args.n, MAX_N_MOTIVE, "strata", args.force)
-    if args.ell < 1:
-        raise UsageError("strata: need at least one marking")
+    _check_series(args, "strata", "n", args.n, profile_count)
     mode = MOTIVIC_P1
     if args.profile is not None:
         try:
@@ -401,8 +427,7 @@ def cmd_strata(args: argparse.Namespace) -> Result:
                     "class": cls.to_string(),
                     "codimension": profile.codimension,
                     "cycle_class": stratum_cycle_class(profile, args.n).to_string(),
-                    "stabilizer_bounds": " ".join(map(str, stabilizer_bounds(profile)))
-                    or "-",
+                    "stabilizer_bounds": _words(stabilizer_bounds(profile)),
                 }
             )
             yield cls
@@ -451,15 +476,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_fan.set_defaults(func=cmd_fan)
 
     p_chow = sub.add_parser("chow", help="Chow-ring presentations")
-    p_chow.add_argument("subcommand", choices=("sr", "thmD", "keel", "compare"))
-    p_chow.add_argument("--n", type=int, required=True)
-    p_chow.add_argument("--i", type=int, required=True)
-    p_chow.add_argument("--curve", choices=("p1", "symbolic"), default="p1")
-    p_chow.add_argument("--ell", type=int, default=1)
-    p_chow.add_argument("--groups", action="store_true")
-    p_chow.add_argument("--compare-sr", action="store_true", dest="compare_sr")
-    _add_common(p_chow)
-    p_chow.set_defaults(func=cmd_chow)
+    # --groups and --compare-sr as a subcommand that does not take them reads them
+    p_chow.set_defaults(func=cmd_chow, groups=False, compare_sr=False)
+    routes = p_chow.add_subparsers(dest="subcommand", required=True)
+    flag_kwargs = {
+        "--curve": {"choices": ("p1", "symbolic"), "default": "p1"},
+        "--ell": {"type": int, "default": 1},
+        "--groups": {"action": "store_true"},
+        "--compare-sr": {"action": "store_true"},
+    }
+    for name, handler, flags in (
+        ("sr", _chow_sr, ("--groups",)),
+        ("thmD", _chow_thmD, ("--curve", "--ell", "--groups", "--compare-sr")),
+        ("keel", _chow_keel, ("--groups", "--compare-sr")),
+        ("compare", _chow_compare, ()),
+    ):
+        p_route = routes.add_parser(name, help=handler.__doc__)
+        p_route.add_argument("--n", type=int, required=True)
+        p_route.add_argument("--i", type=int, required=True)
+        for flag in flags:
+            p_route.add_argument(flag, **flag_kwargs[flag])
+        _add_common(p_route)
+        p_route.set_defaults(handler=handler)
 
     p_motive = sub.add_parser("motive", help="generating-function table")
     p_motive.add_argument(
@@ -483,8 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or argparse refusing the command line
+        return exc.code
     try:
         if args.output:
             _check_output(args.output)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import comb
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .poly import MultiPoly, TruncSeries
@@ -172,6 +173,20 @@ def enumerate_profiles(n: int, ell: int) -> List[StratumProfile]:
         for totals in splits(n - m, ell)
         for nu in product(*map(compositions, totals))
     ]
+
+
+def profile_count(n: int, ell: int) -> int:
+    """``len(enumerate_profiles(n, ell))``, without enumerating.
+
+    The coefficient of t^n in ((1-t)/(1-2t))^ell / (1-t): a profile leaves
+    m points in the interior, and its ell compositions of the other k = n - m
+    join into one composition of k into p parts, cut into ell runs.
+    """
+    return 1 + sum(
+        comb(k - 1, p - 1) * comb(p + ell - 1, p)
+        for k in range(1, n + 1)
+        for p in range(1, k + 1)
+    )
 
 
 def interior_sym_coefficients(mode: ZetaMode, ell: int, order: int) -> List[MultiPoly]:

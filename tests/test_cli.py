@@ -1,6 +1,8 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -167,21 +169,32 @@ def test_chow_groups_cap(capsys):
     assert "safety cap" in err
 
 
+P1_ONE_MARKING = "error: chow: the p1 base supports a single marking"
+SYMBOLIC_UNGRADED = "error: chow thmD: --groups and --compare-sr need --curve p1"
+
+
+def unrecognized(*flags):
+    """The last line of argparse's refusal of flags a command does not declare."""
+    return f"loghilb: error: unrecognized arguments: {' '.join(flags)}"
+
+
 @pytest.mark.parametrize(
     "extra",
     [
-        ("thmD", "--ell", "2", "--groups"),
-        ("thmD", "--ell", "2", "--compare-sr"),
-        ("thmD", "--curve", "symbolic", "--ell", "2", "--groups"),
-        ("keel", "--ell", "2", "--groups"),
+        (("thmD", "--ell", "2", "--groups"), P1_ONE_MARKING),
+        (("thmD", "--ell", "2", "--compare-sr"), P1_ONE_MARKING),
+        (("thmD", "--curve", "symbolic", "--ell", "2", "--groups"), SYMBOLIC_UNGRADED),
+        (("keel", "--ell", "2", "--groups"), unrecognized("--ell", "2")),
     ],
 )
 def test_chow_graded_jobs_take_one_marking(capsys, extra):
     # the chow cap on n was measured with one marking; a multi-marking graded
     # job at the cap would have far wider relation matrices
+    (command, *flags), message = extra
     n = str(cli.MAX_N_GROUPS)
-    code, _, err = run(capsys, "chow", extra[0], "--n", n, "--i", "0", *extra[1:])
-    assert code == EXIT_USAGE
+    code, out, err = run(capsys, "chow", command, "--n", n, "--i", "0", *flags)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1] == message
     assert "safety cap" not in err
 
 
@@ -286,48 +299,122 @@ def test_chow_symbolic_two_markings(capsys):
 
 
 def test_chow_rejects_compare_sr_on_sr(capsys):
-    code, _, err = run(capsys, "chow", "sr", "--n", "2", "--i", "1", "--compare-sr")
-    assert code == EXIT_USAGE
+    code, out, err = run(capsys, "chow", "sr", "--n", "2", "--i", "1", "--compare-sr")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1] == unrecognized("--compare-sr")
 
 
 @pytest.mark.parametrize(
     "extra",
     [
-        ("thmD", "--curve", "symbolic", "--groups"),
-        ("thmD", "--curve", "symbolic", "--compare-sr"),
-        ("thmD", "--curve", "symbolic", "--ell", "0"),
-        ("keel", "--curve", "symbolic"),
-        ("keel", "--ell", "2"),
-        ("compare", "--curve", "symbolic", "--ell", "3"),
-        ("compare", "--ell", "3"),
+        (("thmD", "--curve", "symbolic", "--groups"), SYMBOLIC_UNGRADED),
+        (("thmD", "--curve", "symbolic", "--compare-sr"), SYMBOLIC_UNGRADED),
+        (
+            ("thmD", "--curve", "symbolic", "--ell", "0"),
+            "error: chow thmD: need at least one marking",
+        ),
+        (("keel", "--curve", "symbolic"), unrecognized("--curve", "symbolic")),
+        (("keel", "--ell", "2"), unrecognized("--ell", "2")),
+        (
+            ("compare", "--curve", "symbolic", "--ell", "3"),
+            unrecognized("--curve", "symbolic", "--ell", "3"),
+        ),
+        (("compare", "--ell", "3"), unrecognized("--ell", "3")),
     ],
 )
 def test_chow_parameter_errors(capsys, extra):
-    code, _, err = run(capsys, "chow", extra[0], "--n", "2", "--i", "1", *extra[1:])
-    assert code == EXIT_USAGE
-    assert "error:" in err
+    (command, *flags), message = extra
+    code, out, err = run(capsys, "chow", command, "--n", "2", "--i", "1", *flags)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1] == message
 
 
 def test_chow_compare_needs_the_p1_base(capsys):
+    # compare reads no base: it always works over p1 with one marking
     code, out, err = run(
         capsys, "chow", "compare", "--n", "2", "--i", "1",
         "--curve", "symbolic", "--ell", "3",
     )
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == "error: chow compare: needs --curve p1 and --ell 1\n"
-    # the report already holds the graded groups and the SR comparison
-    code, _, _ = run(
+    assert err.splitlines()[-1] == unrecognized("--curve", "symbolic", "--ell", "3")
+    # the report already holds the graded groups and the SR comparison, so
+    # compare takes neither flag
+    code, out, err = run(
         capsys, "chow", "compare", "--n", "2", "--i", "1", "--groups", "--compare-sr"
     )
-    assert code == EXIT_OK
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1] == unrecognized("--groups", "--compare-sr")
 
 
-def test_chow_sr_ignores_curve(capsys):
-    code, out, _ = run(
+def test_chow_sr_refuses_curve(capsys):
+    # sr reads the ring off the fan, which has no curve and one marking
+    code, out, err = run(
         capsys, "chow", "sr", "--n", "2", "--i", "1", "--curve", "symbolic", "--groups"
     )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1] == unrecognized("--curve", "symbolic")
+
+
+# the flags each chow subcommand reads, besides --n, --i and the common ones
+CHOW_FLAGS = {
+    "sr": {"--groups"},
+    "thmD": {"--curve", "--ell", "--groups", "--compare-sr"},
+    "keel": {"--groups", "--compare-sr"},
+    "compare": set(),
+}
+# each flag the four once shared, with a value every subcommand reading it takes
+SHARED_FLAGS = {
+    "--curve": ("--curve", "p1"),
+    "--ell": ("--ell", "1"),
+    "--groups": ("--groups",),
+    "--compare-sr": ("--compare-sr",),
+}
+
+
+@pytest.mark.parametrize("command", CHOW_FLAGS)
+def test_chow_subcommands_refuse_flags_they_do_not_read(capsys, command):
+    for flag, tokens in SHARED_FLAGS.items():
+        argv = ("chow", command, "--n", "2", "--i", "1", *tokens)
+        code, out, err = run(capsys, *argv)
+        if flag in CHOW_FLAGS[command]:
+            assert code == EXIT_OK, argv
+        else:
+            assert (code, out) == (EXIT_USAGE, ""), argv
+            assert err.splitlines()[-1] == unrecognized(*tokens), argv
+
+
+@pytest.mark.parametrize("command", CHOW_FLAGS)
+def test_chow_subcommand_help_lists_only_its_flags(capsys, command):
+    code, out, _ = run(capsys, "chow", command, "--help")
     assert code == EXIT_OK
-    assert "degree" in out
+    common = {"--help", "--n", "--i", "--format", "--output", "--force"}
+    assert set(re.findall(r"--[a-z-]+", out)) == CHOW_FLAGS[command] | common
+
+
+def test_chow_options_follow_the_subcommand(capsys):
+    code, out, err = run(capsys, "chow", "--n", "2", "--i", "1", "sr")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "invalid choice" in err
+
+
+def readme_command_lines():
+    """The lines of the shell block under "Command line", split as sh would."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line]
+
+
+def test_readme_has_command_lines():
+    assert len(readme_command_lines()) >= 10
+
+
+@pytest.mark.parametrize("line", readme_command_lines(), ids=" ".join)
+def test_readme_command_line_runs(capsys, line):
+    program, *argv = line
+    assert program == "loghilb"
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -456,6 +543,53 @@ def test_csv_output(capsys):
     assert len(lines) == 4
 
 
+def test_motive_and_strata_cap_the_profiles_by_markings(capsys, monkeypatch):
+    def computed(*args):
+        raise AssertionError("computed past the profile cap")
+
+    monkeypatch.setattr(cli, "closed_form", computed)
+    monkeypatch.setattr(cli, "enumerate_profiles", computed)
+    code, out, err = run(capsys, "motive", "--ell", "6", "--N", "12")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: motive: N = 12 with ell = 6 enumerates 4243200 profiles, above the"
+        " safety cap 212992 of N = 12 with ell = 3 (pass --force to override)\n"
+    )
+    code, out, err = run(capsys, "strata", "--n", "9", "--ell", "6")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: strata: n = 9 with ell = 6 enumerates 134048 profiles, above the"
+        " safety cap 120832 of n = 12 with ell = 3 (pass --force to override)\n"
+    )
+
+
+class Computed(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("motive", "--ell", "3", "--N", "12"),
+        ("motive", "--ell", "6", "--N", "9"),
+        ("motive", "--mode", "hodge", "--g", "1", "--ell", "2", "--N", "10"),
+        ("strata", "--n", "12", "--ell", "3"),
+        ("strata", "--n", "8", "--ell", "5"),
+        ("motive", "--ell", "6", "--N", "12", "--force"),
+    ],
+    ids=" ".join,
+)
+def test_profile_cap_lets_through(monkeypatch, argv):
+    # runs at or inside the cap, or forced, pass every refusal and compute
+    def computed(*args):
+        raise Computed
+
+    monkeypatch.setattr(cli, "closed_form", computed)
+    monkeypatch.setattr(cli, "enumerate_profiles", computed)
+    with pytest.raises(Computed):
+        main(list(argv))
+
+
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_USAGE, EXIT_CHECK_FAILED) == (0, 2, 3)
 
@@ -467,7 +601,7 @@ SMALL_RUNS = {
     ("fan", "--n", "3", "--i", "1"): {
         "complete", "intersections_are_faces", "motive_palindromic"
     },
-    ("chow", "sr", "--n", "2", "--i", "1", "--groups"): set(),
+    ("chow", "sr", "--n", "2", "--i", "1", "--groups"): {"ranks_match_motive"},
     ("chow", "thmD", "--n", "3", "--i", "1", "--compare-sr"): {"sr_comparison"},
     ("chow", "keel", "--n", "3", "--i", "1"): {"matches_direct_presentation"},
     ("chow", "compare", "--n", "3", "--i", "1"): {"sr_comparison"},
@@ -494,6 +628,20 @@ def test_every_command_reports_checks(capsys, argv):
     assert code == EXIT_OK
     assert set(doc["checks"]) == SMALL_RUNS[argv]
     assert not {"all_verified", "total_matches_series"} & set(doc)
+
+
+def test_sr_ranks_off_the_motive_exit_with_check_failed(capsys, monkeypatch):
+    group = chow.graded_group
+
+    def one_rank_more(pres, degree):
+        piece = group(pres, degree)
+        return piece._replace(rank=piece.rank + 1)
+
+    monkeypatch.setattr(chow, "graded_group", one_rank_more)
+    code, doc = run_json(capsys, "chow", "sr", "--n", "2", "--i", "1", "--groups")
+    assert code == EXIT_CHECK_FAILED
+    assert doc["checks"] == {"ranks_match_motive": False}
+    assert [g["rank"] for g in doc["graded_groups"]] == [2, 3, 2]
 
 
 def test_failed_strata_sum_exits_with_check_failed(capsys, monkeypatch):

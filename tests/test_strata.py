@@ -17,6 +17,7 @@ from loghilb.strata import (
     enumerate_profiles,
     interior_sym_coefficients,
     parse_profile,
+    profile_count,
     stabilizer_bounds,
     strata_classes,
     strata_sum,
@@ -92,6 +93,14 @@ def test_enumerate_profiles_counts():
     assert len(profiles) == 1 + 1 + 2 + 4
     assert len({str(p) for p in profiles}) == len(profiles)
     assert all(p.total == 3 for p in profiles)
+
+
+def test_profile_count_counts_without_enumerating():
+    for n in range(8):
+        for ell in range(1, 5):
+            assert profile_count(n, ell) == len(enumerate_profiles(n, ell))
+    # the coefficient of t^n in ((1-t)/(1-2t))^ell / (1-t)
+    assert [profile_count(n, 3) for n in (12, 14)] == [120832, 618496]
 
 
 def test_zeta_series_p1():
