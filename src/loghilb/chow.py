@@ -47,14 +47,7 @@ class PresentationError(ValueError):
 HYPERPLANE = "H"
 
 
-# fields of the validating subclass below (see fan.Ray)
-class _BaseRingFields(NamedTuple):
-    kind: str
-    n: int = 0
-    markings: int = 1
-
-
-class BaseRing(_BaseRingFields):
+class BaseRing(NamedTuple("BaseRing", [("kind", str), ("n", int), ("markings", int)])):
     """Coefficient ring of a presentation.
 
     kind "integers": plain Z.
@@ -68,11 +61,10 @@ class BaseRing(_BaseRingFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in ("integers", "trunc_hyperplane", "symbolic_curve"):
-            raise PresentationError(f"unknown base ring kind {self.kind!r}")
-        return self
+    def __new__(cls, kind: str, n: int = 0, markings: int = 1):
+        if kind not in ("integers", "trunc_hyperplane", "symbolic_curve"):
+            raise PresentationError(f"unknown base ring kind {kind!r}")
+        return super().__new__(cls, kind, n, markings)
 
     @staticmethod
     def integers() -> "BaseRing":
@@ -104,15 +96,12 @@ class BaseRing(_BaseRingFields):
         raise PresentationError("plain integer base has no symmetric-power maps")
 
 
-# fields of the validating subclass below (see fan.Ray)
-class _GradedPresentationFields(NamedTuple):
-    base: BaseRing
-    generators: Tuple[str, ...]
-    relations: Tuple[MultiPoly, ...]
-    top_degree: int
-
-
-class GradedPresentation(_GradedPresentationFields):
+class GradedPresentation(NamedTuple("GradedPresentation", [
+    ("base", BaseRing),
+    ("generators", Tuple[str, ...]),
+    ("relations", Tuple[MultiPoly, ...]),
+    ("top_degree", int),
+])):
     """Generators of degree 1 over a base ring, modulo homogeneous relations."""
 
     __slots__ = ()

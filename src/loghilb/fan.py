@@ -37,15 +37,10 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 
 # Value classes are NamedTuples rather than dataclasses, which would import
-# ``dataclasses`` and ``inspect`` on every CLI start.  A NamedTuple cannot
-# override ``__new__``, so a thin subclass validates the fields; where fields
-# have defaults, it takes ``*args, **kwargs`` so the defaults are stated once.
-class _RayFields(NamedTuple):
-    label: str
-    vector: Vector
-
-
-class Ray(_RayFields):
+# ``dataclasses`` and ``inspect`` on every CLI start.  A ``class X(NamedTuple)``
+# body cannot override ``__new__``, so a validating value class subclasses a
+# functional NamedTuple and checks its fields, defaults included, in ``__new__``.
+class Ray(NamedTuple("Ray", [("label", str), ("vector", Vector)])):
     """A labelled primitive ray generator; an immutable value."""
 
     __slots__ = ()

@@ -8,7 +8,9 @@ oracle for the closed-form generating function
 
     Z_C(t) * ((1 - L*t)(1 - t) / (1 - (L+1)*t))^ell,
 
-and for its Euler, Hodge-Deligne and Poincare specializations.  A stratum's
+with Macdonald's Z_C(t) = ((1 - u*t)(1 - v*t))^g / ((1 - t)(1 - L*t)) and
+L = u*v (Proc. Cambridge Philos. Soc. 58, 1962).  Its motivic, Hodge-Deligne,
+Poincare and Euler modes specialize u and v by one table.  A stratum's
 class, the interior symmetric power times L^(part - 1) per bubble, is
 multiplied out only in ``strata_classes``: the sum, the one-profile class
 and the CLI listing all read it.  The sum and the listing's total add the
@@ -32,13 +34,10 @@ class ProfileError(ValueError):
     """Invalid stratum profile."""
 
 
-# fields of the validating subclass below (see fan.Ray)
-class _StratumProfileFields(NamedTuple):
-    m: int
-    nu: Tuple[Composition, ...]
-
-
-class StratumProfile(_StratumProfileFields):
+class StratumProfile(NamedTuple("StratumProfile", [
+    ("m", int),
+    ("nu", Tuple[Composition, ...]),
+])):
     """Interior length plus one composition of bubble supports per marking."""
 
     __slots__ = ()
@@ -64,31 +63,33 @@ class StratumProfile(_StratumProfileFields):
         return f"{self.m};{comps}" if self.nu else str(self.m)
 
 
-# fields of the validating subclass below (see fan.Ray)
-class _ZetaModeFields(NamedTuple):
-    kind: str
-    g: int = 0
+# Macdonald's variables u, v specialized in each mode: [A^1] = u*v
+_SPECIALIZATIONS = {
+    "motivic-p1": {"u": MultiPoly.var("L"), "v": 1},
+    "hodge": {},
+    "poincare": {"u": MultiPoly.var("x"), "v": MultiPoly.var("x")},
+    "euler": {"u": 1, "v": 1},
+}
 
 
-class ZetaMode(_ZetaModeFields):
+class ZetaMode(NamedTuple("ZetaMode", [("kind", str), ("g", int)])):
     """Coefficient ring selector for the generating functions.
 
-    kind "motivic-p1" works in Z[L] and requires genus 0; "hodge",
-    "poincare" and "euler" are the Macdonald specializations and accept
-    any genus.
+    kind "hodge" keeps Macdonald's u and v in Z[u, v]; "motivic-p1" sets
+    u = L, v = 1 in Z[L] and requires genus 0; "poincare" sets u = v = x and
+    "euler" u = v = 1 (``_SPECIALIZATIONS``), both in any genus.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in ("motivic-p1", "hodge", "poincare", "euler"):
-            raise ValueError(f"unknown mode kind {self.kind!r}")
-        if self.g < 0:
+    def __new__(cls, kind: str, g: int = 0):
+        if kind not in _SPECIALIZATIONS:
+            raise ValueError(f"unknown mode kind {kind!r}")
+        if g < 0:
             raise ValueError("genus must be non-negative")
-        if self.kind == "motivic-p1" and self.g != 0:
+        if kind == "motivic-p1" and g != 0:
             raise ValueError("the motivic mode is only available in genus 0")
-        return self
+        return super().__new__(cls, kind, g)
 
 
 MOTIVIC_P1 = ZetaMode("motivic-p1", 0)
@@ -96,35 +97,19 @@ MOTIVIC_P1 = ZetaMode("motivic-p1", 0)
 
 def affine_line_class(mode: ZetaMode) -> MultiPoly:
     """The class of the affine line in the mode's coefficient ring."""
-    if mode.kind == "motivic-p1":
-        return MultiPoly.var("L")
-    if mode.kind == "hodge":
-        return MultiPoly.var("u") * MultiPoly.var("v")
-    if mode.kind == "poincare":
-        return MultiPoly.var("x") ** 2
-    return MultiPoly.const(1)
+    u, v = MultiPoly.var("u"), MultiPoly.var("v")
+    return (u * v).specialize(_SPECIALIZATIONS[mode.kind])
 
 
 def zeta_num_den(mode: ZetaMode) -> Tuple[MultiPoly, MultiPoly]:
-    """Numerator and denominator of the symmetric-power generating function."""
-    t = MultiPoly.var("t")
+    """Numerator and denominator of the symmetric-power generating function:
+    Macdonald's ((1 - u t)(1 - v t))^g / ((1 - t)(1 - u v t)), specialized."""
+    t, u, v = (MultiPoly.var(name) for name in "tuv")
     one = MultiPoly.const(1)
-    lam = affine_line_class(mode)
-    if mode.kind == "euler":
-        e = 2 * mode.g - 2
-        if e >= 0:
-            return (one - t) ** e, one
-        return one, (one - t) ** (-e)
-    if mode.kind == "motivic-p1":
-        num = one
-    elif mode.kind == "hodge":
-        u, v = MultiPoly.var("u"), MultiPoly.var("v")
-        num = ((one - u * t) * (one - v * t)) ** mode.g
-    else:  # poincare
-        x = MultiPoly.var("x")
-        num = (one - x * t) ** (2 * mode.g)
-    den = (one - t) * (one - lam * t)
-    return num, den
+    num = ((one - u * t) * (one - v * t)) ** mode.g
+    den = (one - t) * (one - u * v * t)
+    substitution = _SPECIALIZATIONS[mode.kind]
+    return num.specialize(substitution), den.specialize(substitution)
 
 
 def closed_form(mode: ZetaMode, ell: int, order: int) -> TruncSeries:

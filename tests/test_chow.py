@@ -71,6 +71,26 @@ def test_base_ring_validation():
     )
 
 
+def test_base_ring_and_presentation_keep_the_value_contract():
+    base = BaseRing("integers")
+    assert (base.n, base.markings) == (0, 1)
+    assert base == ("integers", 0, 1)
+    assert BaseRing(markings=3, kind="symbolic_curve") == BaseRing.symbolic(3)
+    assert base._replace(kind="trunc_hyperplane", n=2) == BaseRing.p1(2)
+    assert type(base._replace(n=2)) is BaseRing
+    with pytest.raises(PresentationError) as caught:
+        BaseRing("p1", 2)
+    assert str(caught.value) == "unknown base ring kind 'p1'"
+    pres = GradedPresentation(
+        top_degree=2, relations=(), generators=("e",), base=BaseRing.p1(2)
+    )
+    assert pres == (BaseRing.p1(2), ("e",), (), 2)
+    relation = H * MultiPoly.var("e")
+    moved = pres._replace(relations=(relation,))
+    assert type(moved) is GradedPresentation
+    assert moved == GradedPresentation(BaseRing.p1(2), ("e",), (relation,), 2)
+
+
 def test_presentation_validation():
     with pytest.raises(PresentationError, match="duplicate"):
         GradedPresentation(BaseRing.integers(), ("x", "x"), (), 1)

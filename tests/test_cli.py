@@ -173,9 +173,10 @@ P1_ONE_MARKING = "error: chow: the p1 base supports a single marking"
 SYMBOLIC_UNGRADED = "error: chow thmD: --groups and --compare-sr need --curve p1"
 
 
-def unrecognized(*flags):
-    """The last line of argparse's refusal of flags a command does not declare."""
-    return f"loghilb: error: unrecognized arguments: {' '.join(flags)}"
+def unrecognized(command, *flags):
+    """The last line of argparse's refusal of flags a command does not declare:
+    the command's own parser refuses them, and names the command."""
+    return f"loghilb {command}: error: unrecognized arguments: {' '.join(flags)}"
 
 
 @pytest.mark.parametrize(
@@ -184,7 +185,7 @@ def unrecognized(*flags):
         (("thmD", "--ell", "2", "--groups"), P1_ONE_MARKING),
         (("thmD", "--ell", "2", "--compare-sr"), P1_ONE_MARKING),
         (("thmD", "--curve", "symbolic", "--ell", "2", "--groups"), SYMBOLIC_UNGRADED),
-        (("keel", "--ell", "2", "--groups"), unrecognized("--ell", "2")),
+        (("keel", "--ell", "2", "--groups"), unrecognized("chow keel", "--ell", "2")),
     ],
 )
 def test_chow_graded_jobs_take_one_marking(capsys, extra):
@@ -301,7 +302,7 @@ def test_chow_symbolic_two_markings(capsys):
 def test_chow_rejects_compare_sr_on_sr(capsys):
     code, out, err = run(capsys, "chow", "sr", "--n", "2", "--i", "1", "--compare-sr")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.splitlines()[-1] == unrecognized("--compare-sr")
+    assert err.splitlines()[-1] == unrecognized("chow sr", "--compare-sr")
 
 
 @pytest.mark.parametrize(
@@ -313,13 +314,13 @@ def test_chow_rejects_compare_sr_on_sr(capsys):
             ("thmD", "--curve", "symbolic", "--ell", "0"),
             "error: chow thmD: need at least one marking",
         ),
-        (("keel", "--curve", "symbolic"), unrecognized("--curve", "symbolic")),
-        (("keel", "--ell", "2"), unrecognized("--ell", "2")),
+        (("keel", "--curve", "symbolic"), unrecognized("chow keel", "--curve", "symbolic")),
+        (("keel", "--ell", "2"), unrecognized("chow keel", "--ell", "2")),
         (
             ("compare", "--curve", "symbolic", "--ell", "3"),
-            unrecognized("--curve", "symbolic", "--ell", "3"),
+            unrecognized("chow compare", "--curve", "symbolic", "--ell", "3"),
         ),
-        (("compare", "--ell", "3"), unrecognized("--ell", "3")),
+        (("compare", "--ell", "3"), unrecognized("chow compare", "--ell", "3")),
     ],
 )
 def test_chow_parameter_errors(capsys, extra):
@@ -336,14 +337,16 @@ def test_chow_compare_needs_the_p1_base(capsys):
         "--curve", "symbolic", "--ell", "3",
     )
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.splitlines()[-1] == unrecognized("--curve", "symbolic", "--ell", "3")
+    assert err.splitlines()[-1] == unrecognized(
+        "chow compare", "--curve", "symbolic", "--ell", "3"
+    )
     # the report already holds the graded groups and the SR comparison, so
     # compare takes neither flag
     code, out, err = run(
         capsys, "chow", "compare", "--n", "2", "--i", "1", "--groups", "--compare-sr"
     )
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.splitlines()[-1] == unrecognized("--groups", "--compare-sr")
+    assert err.splitlines()[-1] == unrecognized("chow compare", "--groups", "--compare-sr")
 
 
 def test_chow_sr_refuses_curve(capsys):
@@ -352,7 +355,7 @@ def test_chow_sr_refuses_curve(capsys):
         capsys, "chow", "sr", "--n", "2", "--i", "1", "--curve", "symbolic", "--groups"
     )
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.splitlines()[-1] == unrecognized("--curve", "symbolic")
+    assert err.splitlines()[-1] == unrecognized("chow sr", "--curve", "symbolic")
 
 
 # the flags each chow subcommand reads, besides --n, --i and the common ones
@@ -380,7 +383,7 @@ def test_chow_subcommands_refuse_flags_they_do_not_read(capsys, command):
             assert code == EXIT_OK, argv
         else:
             assert (code, out) == (EXIT_USAGE, ""), argv
-            assert err.splitlines()[-1] == unrecognized(*tokens), argv
+            assert err.splitlines()[-1] == unrecognized(f"chow {command}", *tokens), argv
 
 
 @pytest.mark.parametrize("command", CHOW_FLAGS)
@@ -395,6 +398,28 @@ def test_chow_options_follow_the_subcommand(capsys):
     code, out, err = run(capsys, "chow", "--n", "2", "--i", "1", "sr")
     assert (code, out) == (EXIT_USAGE, "")
     assert "invalid choice" in err
+
+
+# a valid command line of each leaf command, which an unknown flag then spoils
+LEAF_COMMANDS = {
+    "fan": ("--n", "2", "--i", "1"),
+    "chow sr": ("--n", "2", "--i", "1"),
+    "chow thmD": ("--n", "2", "--i", "1"),
+    "chow keel": ("--n", "2", "--i", "1"),
+    "chow compare": ("--n", "2", "--i", "1"),
+    "motive": ("--N", "2"),
+    "strata": ("--n", "2", "--ell", "1"),
+}
+
+
+@pytest.mark.parametrize("command", LEAF_COMMANDS)
+def test_unknown_flag_is_refused_by_its_command(capsys, command):
+    for spoiler in (("--bogus",), ("--bogus", "3"), ("stray",)):
+        argv = (*command.split(), *LEAF_COMMANDS[command], *spoiler)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith(f"usage: loghilb {command} [-h]"), argv
+        assert err.splitlines()[-1] == unrecognized(command, *spoiler), argv
 
 
 def readme_command_lines():

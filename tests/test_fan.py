@@ -38,6 +38,19 @@ def test_ray_validation():
     assert Ray("ok", (2, 3)).vector == (2, 3)
 
 
+def test_ray_keeps_the_value_contract():
+    with pytest.raises(FanError) as caught:
+        Ray("bad", (0, 0))
+    assert str(caught.value) == "ray bad has zero vector"
+    with pytest.raises(FanError) as caught:
+        Ray(vector=(2, 4), label="bad")
+    assert str(caught.value) == "ray bad vector (2, 4) is not primitive"
+    ray = Ray(vector=[2, 3], label="ok")
+    assert ray == ("ok", (2, 3))
+    moved = ray._replace(label="moved")
+    assert type(moved) is Ray and moved == Ray("moved", (2, 3))
+
+
 def test_ray_is_an_immutable_value():
     ray = Ray("ok", (2, 3))
     assert ray == Ray(label="ok", vector=(2, 3))

@@ -1,7 +1,9 @@
-"""Every name a loghilb module imports is used in that module, and every
-private function or method of the package is referenced somewhere in it."""
+"""Every name a loghilb module imports is used in that module, every private
+function or method of the package is referenced somewhere in it, and no
+private class is named only as the base of one other class."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,45 @@ def test_private_import_is_found():
         "from .poly import MultiPoly as _MP\n"
     )
     assert private_imports(source) == ["_apply (line 1)", "_helpers (line 2)"]
+
+
+def shadow_classes(sources):
+    """Private classes of the given sources {file name: source} that the code
+    names nowhere but as the base of one other class: a class written twice."""
+    private, mentions, as_base = [], Counter(), Counter()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                if node.name.startswith("_"):
+                    private.append((name, node))
+                as_base.update(b.id for b in node.bases if isinstance(b, ast.Name))
+            elif isinstance(node, ast.Name):
+                mentions[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                mentions[node.attr] += 1
+    return sorted(
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, node in private
+        if as_base[node.name] == mentions[node.name] == 1
+    )
+
+
+def test_no_private_class_is_only_a_base():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert shadow_classes(sources) == []
+
+
+def test_shadow_class_is_found():
+    source = (
+        "from typing import NamedTuple\n"
+        "class _Fields(NamedTuple):\n    x: int\n"
+        "class Point(_Fields):\n    pass\n"
+        "class _Base:\n    pass\n"
+        "class A(_Base):\n    pass\n"
+        "class B(_Base):\n    pass\n"
+        "class _Used:\n    pass\n"
+        "class C(_Used):\n    pass\n"
+        "spare = _Used()\n"
+        "class _Alone:\n    pass\n"
+    )
+    assert shadow_classes({"m.py": source}) == ["m.py: _Fields (line 2)"]

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loghilb.poly import MultiPoly
+from loghilb.poly import MultiPoly, TruncSeries
 from loghilb.strata import (
     MOTIVIC_P1,
     ProfileError,
@@ -47,6 +47,19 @@ def test_profile_is_an_immutable_value():
     assert str(p) == "2;(1,2);();(3)"
     with pytest.raises(AttributeError):
         p.m = 3
+
+
+def test_profile_keeps_the_value_contract():
+    with pytest.raises(ProfileError) as caught:
+        StratumProfile(-1, ())
+    assert str(caught.value) == "interior length must be non-negative"
+    with pytest.raises(ProfileError) as caught:
+        StratumProfile(nu=((2,), (0,)), m=1)
+    assert str(caught.value) == "every bubble must support positive length"
+    p = StratumProfile(nu=((1, 2),), m=2)
+    assert p == (2, ((1, 2),)) and p.total == 5
+    q = p._replace(m=0)
+    assert type(q) is StratumProfile and q == StratumProfile(0, ((1, 2),))
 
 
 def test_profile_str_and_parse_roundtrip():
@@ -243,6 +256,58 @@ def test_specializations_of_motivic_series():
                 coeff = motivic.coeffs[n]
                 sub = {var: image if var == "L" else MultiPoly.var(var) for var in coeff.vars}
                 assert coeff.specialize(sub) == target.coeffs[n]
+
+
+def stated_affine_line_class(mode):
+    """[A^1] as each mode states it by hand: the oracle for the Macdonald table."""
+    if mode.kind == "motivic-p1":
+        return MultiPoly.var("L")
+    if mode.kind == "hodge":
+        return MultiPoly.var("u") * MultiPoly.var("v")
+    if mode.kind == "poincare":
+        return MultiPoly.var("x") ** 2
+    return MultiPoly.const(1)
+
+
+def stated_zeta_num_den(mode):
+    """Z_C(t) as each mode states it by hand, the Euler one reduced to a
+    power of (1 - t) above or below the line by the sign of 2g - 2."""
+    t, one = MultiPoly.var("t"), MultiPoly.const(1)
+    if mode.kind == "euler":
+        e = 2 * mode.g - 2
+        return ((one - t) ** e, one) if e >= 0 else (one, (one - t) ** -e)
+    if mode.kind == "motivic-p1":
+        num = one
+    elif mode.kind == "hodge":
+        u, v = MultiPoly.var("u"), MultiPoly.var("v")
+        num = ((one - u * t) * (one - v * t)) ** mode.g
+    else:
+        num = (one - MultiPoly.var("x") * t) ** (2 * mode.g)
+    return num, (one - t) * (one - stated_affine_line_class(mode) * t)
+
+
+MODES_UP_TO_GENUS_3 = [MOTIVIC_P1] + [
+    ZetaMode(kind, g) for kind in ("hodge", "poincare", "euler") for g in range(4)
+]
+
+
+@pytest.mark.parametrize("mode", MODES_UP_TO_GENUS_3, ids=str)
+def test_macdonald_table_matches_the_stated_formulas(mode):
+    t, one = MultiPoly.var("t"), MultiPoly.const(1)
+    lam = stated_affine_line_class(mode)
+    assert affine_line_class(mode) == lam
+    num, den = stated_zeta_num_den(mode)
+    for ell in range(4):
+        closed = (
+            num * ((one - lam * t) * (one - t)) ** ell,
+            den * (one - (lam + 1) * t) ** ell,
+        )
+        interior = (num * (one - t) ** ell, den)
+        for order in range(11):
+            expected = TruncSeries.from_rational(*closed, order).coeffs
+            assert closed_form(mode, ell, order).coeffs == expected
+            expected = list(TruncSeries.from_rational(*interior, order).coeffs)
+            assert interior_sym_coefficients(mode, ell, order) == expected
 
 
 def test_hodge_genus_two_symmetric_square():
