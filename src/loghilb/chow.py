@@ -60,6 +60,7 @@ class BaseRing(NamedTuple("BaseRing", [("kind", str), ("n", int), ("markings", i
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, kind: str, n: int = 0, markings: int = 1):
         if kind not in ("integers", "trunc_hyperplane", "symbolic_curve"):
@@ -105,6 +106,7 @@ class GradedPresentation(NamedTuple("GradedPresentation", [
     """Generators of degree 1 over a base ring, modulo homogeneous relations."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(
         cls,

@@ -10,9 +10,9 @@ declares only the flags it reads besides ``--n``, ``--i``, ``--format``,
 returns its payload and table rows to ``main``; the payload's ``checks`` map
 holds the verdict of each cross-check the command ran, by name.  ``main``
 writes the output once and returns the exit code: 0 for success, 2 for
-invalid parameters (a flag the command does not declare, which the
-command's own parser refuses with its usage and ``loghilb <command>: error:
-unrecognized arguments``, an ``n`` above its size cap without ``--force``,
+invalid parameters (an argument a parser cannot read, refused with the usage
+of the parser that meets it and ``loghilb [<command>]: error: unrecognized
+arguments``; an ``n`` above its size cap without ``--force``;
 and an ``--output`` path that cannot be written, which is checked before
 computing), 3 when any entry of ``checks`` is false.  Any other error is
 internal and exits 1 with a traceback.
@@ -453,6 +453,17 @@ def cmd_strata(args: argparse.Namespace) -> Result:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses what it cannot read itself, so the refusal shows its own usage;
+    ``add_subparsers`` gives each subparser its parent's class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     parser.add_argument("--output", help="write to this path instead of stdout")
@@ -460,7 +471,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loghilb",
         description="Exact fans, Chow presentations and generating functions "
         "for relative Hilbert schemes of points on the line.",
@@ -474,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fan.add_argument("--i-inf", type=int, dest="i_inf")
     p_fan.add_argument("--census", action="store_true")
     _add_common(p_fan)
-    p_fan.set_defaults(func=cmd_fan, parser=p_fan)
+    p_fan.set_defaults(func=cmd_fan)
 
     p_chow = sub.add_parser("chow", help="Chow-ring presentations")
     # --groups and --compare-sr as a subcommand that does not take them reads them
@@ -498,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p_route.add_argument(flag, **flag_kwargs[flag])
         _add_common(p_route)
-        p_route.set_defaults(handler=handler, parser=p_route)
+        p_route.set_defaults(handler=handler)
 
     p_motive = sub.add_parser("motive", help="generating-function table")
     p_motive.add_argument(
@@ -510,22 +521,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_motive.add_argument("--ell", type=int, default=1)
     p_motive.add_argument("--N", type=int, required=True)
     _add_common(p_motive)
-    p_motive.set_defaults(func=cmd_motive, parser=p_motive)
+    p_motive.set_defaults(func=cmd_motive)
 
     p_strata = sub.add_parser("strata", help="boundary strata listing")
     p_strata.add_argument("--n", type=int, required=True)
     p_strata.add_argument("--ell", type=int, required=True)
     p_strata.add_argument("--profile")
     _add_common(p_strata)
-    p_strata.set_defaults(func=cmd_strata, parser=p_strata)
+    p_strata.set_defaults(func=cmd_strata)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args, extras = build_parser().parse_known_args(argv)
-        if extras:  # refused by the command's own parser, which names it
-            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help, or argparse refusing the command line
         return exc.code
     try:

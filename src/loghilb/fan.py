@@ -39,11 +39,13 @@ def is_primitive(v: Sequence[int]) -> bool:
 # Value classes are NamedTuples rather than dataclasses, which would import
 # ``dataclasses`` and ``inspect`` on every CLI start.  A ``class X(NamedTuple)``
 # body cannot override ``__new__``, so a validating value class subclasses a
-# functional NamedTuple and checks its fields, defaults included, in ``__new__``.
+# functional NamedTuple and checks its fields, defaults included, in ``__new__``;
+# its ``_make``, which ``_replace`` calls, goes through ``__new__`` too.
 class Ray(NamedTuple("Ray", [("label", str), ("vector", Vector)])):
     """A labelled primitive ray generator; an immutable value."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, label: str, vector: Vector):
         if all(x == 0 for x in vector):
@@ -118,13 +120,6 @@ class StackyFan:
             level = smaller
         return frozenset(faces), tuple(census)
 
-    def all_cones(self) -> FrozenSet[FrozenSet[int]]:
-        """All faces of all maximal cones, including the origin (empty set)."""
-        return frozenset(
-            frozenset(i for i in range(m.bit_length()) if m >> i & 1)
-            for m in self.face_masks()
-        )
-
     def census(self) -> Tuple[int, ...]:
         """Number of cones of each dimension, counted with the faces."""
         self.face_masks()
@@ -152,15 +147,10 @@ class StackyFan:
         """Every codimension-1 face must bound exactly two maximal cones."""
         return all(len(o) == 2 for o in self.facet_opposites().values())
 
-    def _cramer(self, cone, v: Sequence[int]) -> Tuple[List[int], int, List[int]]:
-        """A full cone's sorted ray indices, their determinant d and, from the
-        same solve, v's Cramer numerators d * x_j, x_j of the sign of d * d * x_j."""
-        idx = sorted(cone)
-        d, numerators = fraction_free_solve(zip(*(self.rays[i].vector for i in idx)), v)
-        return idx, d, numerators
-
     def contains_in_cone(self, cone, v: Sequence[int]) -> bool:
-        _, d, numerators = self._cramer(cone, v)
+        """Whether v's Cramer numerators d * x_j on the full cone have d's sign."""
+        rays = (self.rays[i].vector for i in sorted(cone))
+        d, numerators = fraction_free_solve(zip(*rays), v)
         return all(d * x >= 0 for x in numerators)
 
     def _cone_name(self, cone) -> str:
@@ -238,10 +228,11 @@ class StackyFan:
 
         For two maximal simplicial cones this verifies that every lattice
         point expressible with non-negative coordinates in both cones is
-        supported on the common ray set.  It runs O(cones^2) cone-membership
-        tests and is the test oracle for ``fan_defect``, which the CLI uses.
+        supported on the common ray set, whose bitmask must be one of
+        ``face_masks``.  It runs O(cones^2) cone-membership tests and is the
+        test oracle for ``fan_defect``, which the CLI uses.
         """
-        faces = self.all_cones()
+        faces = self.face_masks()
         rays = [r.vector for r in self.rays]
         sums = {a: list(map(sum, zip(*(rays[i] for i in a)))) for a in self.max_cones}
         for a in self.max_cones:
@@ -249,7 +240,7 @@ class StackyFan:
                 if a >= b:
                     continue
                 common = a & b
-                if common not in faces:
+                if sum(1 << i for i in common) not in faces:
                     return False
                 # rays of a outside the common face may not lie in cone(b)
                 for i in a - common:
@@ -305,19 +296,6 @@ def projective_fan(n: int) -> StackyFan:
     for omit in range(n + 1):
         cones.append(frozenset(i for i in range(n + 1) if i != omit))
     return StackyFan(n, rays, cones)
-
-
-def minimal_cone(fan: StackyFan, v: Sequence[int]) -> FrozenSet[int]:
-    """The unique cone whose relative interior contains v: the rays on which
-    v has a positive coordinate in the first maximal cone that holds v."""
-    vv = tuple(int(x) for x in v)
-    if all(x == 0 for x in vv):
-        raise FanError("zero vector has no minimal cone")
-    for cone in fan.max_cones:
-        idx, d, numerators = fan._cramer(cone, vv)
-        if all(d * x >= 0 for x in numerators):
-            return frozenset(i for i, x in zip(idx, numerators) if d * x > 0)
-    raise FanError(f"vector {vv} lies outside the support of the fan")
 
 
 def star_subdivide(

@@ -358,9 +358,8 @@ def rational_solve(a, b: Sequence[int]) -> List[Fraction]:
     """Solve the square integer system A*x = b exactly by Cramer's rule.
 
     Raises ValueError when A is singular or the shapes do not match.  Test
-    oracle for ``fraction_free_solve``, ``StackyFan.contains_in_cone`` and
-    ``fan.minimal_cone``; it stays in ``src/`` because ``bench/spans.py``
-    traces it by name.
+    oracle for ``fraction_free_solve`` and ``StackyFan.contains_in_cone``;
+    it stays in ``src/`` because ``bench/spans.py`` traces it by name.
     ``Fraction`` is imported on call, so importing this module does not
     load ``fractions`` and ``decimal``.
     """

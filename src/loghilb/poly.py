@@ -66,13 +66,12 @@ def _times(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> Dict[Exponen
 class MultiPoly:
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, int]):
         v, t = _canonicalize(tuple(variables), terms)
         object.__setattr__(self, "vars", v)
         object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -251,15 +250,10 @@ class MultiPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            if self.vars:
-                h = hash((self.vars, frozenset(self.terms.items())))
-            else:
-                # constants hash like the ints they compare equal to
-                h = hash(self.terms.get((), 0))
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self.vars:
+            return hash((self.vars, frozenset(self.terms.items())))
+        # constants hash like the ints they compare equal to
+        return hash(self.terms.get((), 0))
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""

@@ -41,6 +41,7 @@ class StratumProfile(NamedTuple("StratumProfile", [
     """Interior length plus one composition of bubble supports per marking."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, m: int, nu: Tuple[Composition, ...]):
         if m < 0:
@@ -81,6 +82,7 @@ class ZetaMode(NamedTuple("ZetaMode", [("kind", str), ("g", int)])):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, kind: str, g: int = 0):
         if kind not in _SPECIALIZATIONS:

@@ -29,10 +29,16 @@ from loghilb.chow import (
     stratum_cycle_class,
     thmD_presentation,
 )
-from loghilb.fan import FanError, fan_motive, hilb_fan
+from loghilb.fan import FanError, Ray, fan_motive, hilb_fan
 from loghilb.linalg import in_row_span_z, invariant_factors
 from loghilb.poly import MultiPoly, ZERO
-from loghilb.strata import enumerate_profiles, parse_profile
+from loghilb.strata import (
+    ProfileError,
+    StratumProfile,
+    ZetaMode,
+    enumerate_profiles,
+    parse_profile,
+)
 
 H = MultiPoly.var("H")
 TAU = MultiPoly.var("tau")
@@ -89,6 +95,28 @@ def test_base_ring_and_presentation_keep_the_value_contract():
     moved = pres._replace(relations=(relation,))
     assert type(moved) is GradedPresentation
     assert moved == GradedPresentation(BaseRing.p1(2), ("e",), (relation,), 2)
+
+
+@pytest.mark.parametrize(
+    "value, change, error, message",
+    [
+        (Ray("a", (1, 0)), {"vector": (0, 0)}, FanError, "ray a has zero vector"),
+        (BaseRing.integers(), {"kind": "bogus"}, PresentationError,
+         "unknown base ring kind 'bogus'"),
+        (GradedPresentation(BaseRing.integers(), ("e",), (), 1),
+         {"generators": ("e", "e")}, PresentationError, "duplicate generator names"),
+        (StratumProfile(1, ()), {"m": -5}, ProfileError,
+         "interior length must be non-negative"),
+        (ZetaMode("hodge"), {"kind": "motivic-p1", "g": 3}, ValueError,
+         "the motivic mode is only available in genus 0"),
+    ],
+    ids=["Ray", "BaseRing", "GradedPresentation", "StratumProfile", "ZetaMode"],
+)
+def test_replace_validates_like_the_constructor(value, change, error, message):
+    with pytest.raises(error) as caught:
+        value._replace(**change)
+    assert str(caught.value) == message
+    assert type(value._replace()) is type(value) and value._replace() == value
 
 
 def test_presentation_validation():

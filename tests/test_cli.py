@@ -422,6 +422,27 @@ def test_unknown_flag_is_refused_by_its_command(capsys, command):
         assert err.splitlines()[-1] == unrecognized(command, *spoiler), argv
 
 
+@pytest.mark.parametrize(
+    "argv, refused_by, spoilers",
+    [
+        # a flag before the command name is met by the top-level parser
+        (("--bogus", "fan", "--n", "2", "--i", "1"), "", ("--bogus",)),
+        (("chow", "--bogus", "sr", "--n", "3", "--i", "1"), " chow", ("--bogus",)),
+        # the leaf parses first, so it refuses its own before the top level
+        (("--bogus", "fan", "--n", "2", "--i", "1", "--also"), " fan", ("--also",)),
+    ],
+    ids=["top-level", "chow", "leaf-first"],
+)
+def test_unknown_flag_is_refused_by_the_parser_that_meets_it(
+    capsys, argv, refused_by, spoilers
+):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"usage: loghilb{refused_by} [-h]")
+    last = f"loghilb{refused_by}: error: unrecognized arguments: {' '.join(spoilers)}"
+    assert err.splitlines()[-1] == last
+
+
 def readme_command_lines():
     """The lines of the shell block under "Command line", split as sh would."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

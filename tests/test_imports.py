@@ -1,14 +1,18 @@
 """Every name a loghilb module imports is used in that module, every private
-function or method of the package is referenced somewhere in it, and no
-private class is named only as the base of one other class."""
+function or method of the package is referenced somewhere in it, every public
+one is called from the package or traced by the benchmark, and no private
+class is named only as the base of one other class."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "loghilb"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "loghilb"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unused_imports(source: str):
@@ -36,35 +40,45 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["Dict (line 1)", "os (line 2)"]
 
 
-def unreferenced_private_functions(sources):
-    """Private module-level functions and ``_methods`` of the given sources
-    {file name: source} that no code outside their own body names."""
+def unreferenced_functions(sources):
+    """The module-level functions and methods of the given sources {file name:
+    source} that no code outside their own body names, as (file name, class
+    name or None, node)."""
     definitions = []
     references = []
     for name, source in sources.items():
         tree = ast.parse(source)
-        scopes = [tree.body] + [c.body for c in tree.body if isinstance(c, ast.ClassDef)]
-        for body in scopes:
-            for node in body:
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_")
-                    and not node.name.endswith("__")
-                ):
-                    definitions.append((name, node))
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                definitions.append((name, None, node))
+            elif isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    (name, node.name, item) for item in node.body
+                    if isinstance(item, FUNCTIONS)
+                )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 references.append((name, node.id, node.lineno))
             elif isinstance(node, ast.Attribute):
                 references.append((name, node.attr, node.lineno))
-    return sorted(
-        f"{name}: {node.name} (line {node.lineno})"
-        for name, node in definitions
+    return [
+        (name, owner, node)
+        for name, owner, node in definitions
         if not any(
             ident == node.name
             and not (where == name and node.lineno <= line <= node.end_lineno)
             for where, ident, line in references
         )
+    ]
+
+
+def unreferenced_private_functions(sources):
+    """Private module-level functions and ``_methods`` of the given sources
+    {file name: source} that no code outside their own body names."""
+    return sorted(
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, _, node in unreferenced_functions(sources)
+        if node.name.startswith("_") and not node.name.endswith("__")
     )
 
 
@@ -91,6 +105,72 @@ def test_unreferenced_private_function_is_found():
         "helpers.py: _recursive (line 5)",
         "helpers.py: _unused (line 3)",
         "users.py: _idle (line 7)",
+    ]
+
+
+def uncalled_public_functions(sources, namespaces, targets):
+    """Public module-level functions and methods of the given sources {file
+    name: source} that no code outside their own body names and that
+    ``targets`` {(file name, qualified name)} does not list.  A method that
+    overrides an attribute of a base class is exempt: the base's callers call
+    it.  Classes are looked up in ``namespaces`` {file name: module globals}."""
+    found = []
+    for name, owner, node in unreferenced_functions(sources):
+        if node.name.startswith("_"):
+            continue
+        if owner is None:
+            qualified = node.name
+        else:
+            bases = namespaces[name][owner].__mro__[1:]
+            if any(hasattr(base, node.name) for base in bases):
+                continue
+            qualified = f"{owner}.{node.name}"
+        if (name, qualified) not in targets:
+            found.append(f"{name}: {qualified} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_every_public_function_is_called_or_traced(monkeypatch):
+    # read TARGETS as tests/test_bench_targets.py does
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    targets = {
+        (module.rsplit(".", 1)[1] + ".py", attr) for _, module, attr in spans.TARGETS
+    }
+    paths = sorted(PACKAGE.glob("*.py"))
+    sources = {p.name: p.read_text(encoding="utf-8") for p in paths}
+    namespaces = {
+        p.name: vars(importlib.import_module(
+            "loghilb" if p.stem == "__init__" else f"loghilb.{p.stem}"
+        ))
+        for p in paths
+    }
+    assert uncalled_public_functions(sources, namespaces, targets) == []
+
+
+def test_uncalled_public_function_is_found():
+    source = (
+        "import argparse\n"
+        "def used():\n    return 1\n"
+        "def unused():\n    return used()\n"
+        "def traced():\n    return 2\n"
+        "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def parse_known_args(self, args=None, namespace=None):\n"
+        "        return super().parse_known_args(args, namespace)\n"
+        "    def idle(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 0\n"
+        "    def traced(self):\n        return 3\n"
+        "    def _private(self):\n        return 4\n"
+        "    def __len__(self):\n        return 0\n"
+    )
+    namespace = {}
+    exec(source, namespace)
+    targets = {("m.py", "traced"), ("m.py", "Parser.traced")}
+    assert uncalled_public_functions({"m.py": source}, {"m.py": namespace}, targets) == [
+        "m.py: Parser.idle (line 13)",
+        "m.py: recursive (line 8)",
+        "m.py: unused (line 4)",
     ]
 
 
