@@ -17,12 +17,13 @@ the degree-1 relations: its pivot columns are the eliminated variables, and
 each one's residue is its image.  The sparse relation matrix of each degree
 is then brought once to a ``linalg.ReducedForm`` (``_reduced``): its +-1
 pivots are eliminated in Markowitz order and only the remaining core gets a
-dense Hermite form.  Graded pieces come from the form's invariant factors,
-one 1 per pivot plus those of the core, and membership reduces against its
-pivot rows and then its Hermite rows (``ideal_residue``).  Torsion is
-reported, never dropped, in every degree: a presentation's ``top_degree`` is
-the dimension, not a bound on the ring, whose integral groups above it can
-carry torsion on a stacky fan (Edidin-Graham, Invent. Math. 131, 1998).
+dense Hermite form; the pivot rows and then the Hermite rows are one echelon
+basis.  Graded pieces come from the form's invariant factors, one 1 per pivot
+plus those of the core, and membership reduces against the basis rows in
+order (``ideal_residue``).  Torsion is reported, never dropped, in every
+degree: a presentation's ``top_degree`` is the dimension, not a bound on the
+ring, whose integral groups above it can carry torsion on a stacky fan
+(Edidin-Graham, Invent. Math. 131, 1998).
 """
 
 from __future__ import annotations
@@ -190,18 +191,14 @@ def sr_presentation(fan: StackyFan) -> GradedPresentation:
     if not fan.is_complete():
         raise PresentationError("Stanley-Reisner presentation needs a complete fan")
     gens = tuple(r.label for r in fan.rays)
-    relations: List[MultiPoly] = []
-    for k in range(fan.dim):
-        rel = ZERO
-        for ray in fan.rays:
-            if ray.vector[k]:
-                rel = rel + ray.vector[k] * MultiPoly.var(ray.label)
-        relations.append(rel)
-    for subset in minimal_nonfaces(fan):
-        mono = MultiPoly.const(1)
-        for i in subset:
-            mono = mono * MultiPoly.var(fan.rays[i].label)
-        relations.append(mono)
+    relations = [
+        MultiPoly.sum(ray.vector[k] * MultiPoly.var(ray.label) for ray in fan.rays)
+        for k in range(fan.dim)
+    ]
+    relations += [
+        MultiPoly(tuple(gens[i] for i in subset), {(1,) * len(subset): 1})
+        for subset in minimal_nonfaces(fan)
+    ]
     return GradedPresentation(
         BaseRing.integers(), gens, tuple(relations), fan.dim
     )
@@ -268,14 +265,15 @@ def _solved(
     """The presentation with its unit-coefficient linear relations solved.
 
     The linear solve is the reduced form of the degree-1 relations
-    (``reduced_form``): the variable of each pivot column is eliminated, and
-    its image is that variable's residue, in the surviving variables.  The
-    core's Hermite rows stay as linear relations, followed by every other
-    relation pushed through the substitution, in order; relations that
-    become zero are dropped.  Solving a relation +-x + rest = 0 for x is an
-    isomorphism of graded Z-algebras (for the SR ring, the Jurkiewicz-Danilov
-    presentation with its linear forms solved), so graded pieces, torsion
-    included, and ideal membership are unchanged.
+    (``reduced_form``): the variable of the lead column of each +-1 pivot
+    row is eliminated, and its image is that variable's residue, in the
+    surviving variables.  The other basis rows, the core's Hermite rows, stay
+    as linear relations, followed by every other relation pushed through the
+    substitution, in order; relations that become zero are dropped.  Solving
+    a relation +-x + rest = 0 for x is an isomorphism of graded Z-algebras
+    (for the SR ring, the Jurkiewicz-Danilov presentation with its linear
+    forms solved), so graded pieces, torsion included, and ideal membership
+    are unchanged.
 
     Returns the presentation over Z on the surviving variables, the base
     ring's relations included, and the map {eliminated variable: image}.
@@ -291,12 +289,9 @@ def _solved(
     form = reduced_form(rows, len(basis))
     substitution = {
         variables[c]: _row_poly(variables, basis, form.residue({c: 1}))
-        for c, _ in form.pivots
+        for c, _ in form.basis[:form.units]
     }
-    kept = [
-        _row_poly(variables, basis, dict(zip(form.core_columns, row)))
-        for row in form.hermite
-    ]
+    kept = [_row_poly(variables, basis, row) for _, row in form.basis[form.units:]]
     images = (rel.specialize(substitution) for rel in relations if rel.degree() != 1)
     kept += [image for image in images if not image.is_zero()]
     survivors = tuple(v for v in variables if v not in substitution)

@@ -2,21 +2,22 @@
 
 Dense matrices are plain lists of lists of Python integers (arbitrary
 precision).  There is one dense integer row-elimination kernel,
-``hermite_normal_form``, which computes the row-style Hermite normal form
-without a transform matrix.  Its pivoting is Euclidean, over the live rows
-of each column, found by one scan, on cores of up to a few thousand rows and
-a few hundred columns (2,205 × 171 at n = 7).  Invariant factors come from
-alternating Hermite forms of a matrix and its transpose until each row has a
-single nonzero entry (Kannan–Bachem, SIAM J. Comput. 8, 1979), then from one
-pairwise gcd/lcm pass over the diagonal.
+``hermite_normal_form``, which computes the nonzero rows of the row-style
+Hermite normal form without a transform matrix.  Its pivoting is Euclidean,
+over the live rows of each column, found by one scan, on cores of up to a
+few thousand rows and a few hundred columns (2,205 × 171 at n = 7).
+Invariant factors come from alternating Hermite forms of a matrix and its
+transpose until each row has a single nonzero entry (Kannan–Bachem, SIAM J.
+Comput. 8, 1979), then from one pairwise gcd/lcm pass over the diagonal.
 
 Sparse relation matrices, mostly +-1, are first brought to a
 ``ReducedForm`` (``reduced_form``): +-1 pivots are eliminated on dict rows
 in Markowitz order, and the dense kernel runs only on the remaining core
-(Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  The form answers
-invariant factors and row-span membership without a further Hermite form.
-It also serves the Chow layer's linear solve: the pivots of the degree-1
-form are the variables to eliminate, and their residues are their images.
+(Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  The form is one
+echelon basis, the +-1 pivot rows and then the core's Hermite rows, and
+answers invariant factors and row-span membership with no further Hermite
+form.  It also serves the Chow layer's linear solve: the pivots of the
+degree-1 form are the variables to eliminate, their residues their images.
 
 Square systems have one fraction-free (Bareiss) elimination, which serves
 both ``det`` and ``fraction_free_solve``: one pass over ``[m | b]`` gives
@@ -126,7 +127,8 @@ def fraction_free_solve(m, b: Sequence[int]) -> Tuple[int, List[int]]:
 
 
 def hermite_normal_form(m) -> Matrix:
-    """Row-style Hermite normal form H of m, reached by unimodular row operations.
+    """Nonzero rows of the row-style Hermite normal form H of m (at most one
+    per column), reached by unimodular row operations.
 
     H is in row echelon form with positive pivots and entries above each
     pivot reduced into [0, pivot).  Row updates at column c run from c on:
@@ -164,18 +166,18 @@ def hermite_normal_form(m) -> Matrix:
         r += 1
         if r == nrows:
             break
-    return a
+    return a[:r]
 
 
 def invariant_factors(m) -> List[int]:
     """Nonzero diagonal entries of the Smith normal form.
 
-    Row-style Hermite forms of the matrix and of its transpose alternate,
-    zero rows dropped, until every row has a single nonzero entry.
+    Row-style Hermite forms of the matrix and of its transpose alternate
+    until every row has a single nonzero entry.
     """
     a = m
     while True:
-        a = [row for row in hermite_normal_form(a) if any(row)]
+        a = hermite_normal_form(a)
         if all(sum(1 for x in row if x) == 1 for row in a):
             break
         a = [list(col) for col in zip(*a)]
@@ -196,21 +198,14 @@ def in_row_span_z(m, target: Sequence[int]) -> bool:
 
     Test oracle for ``ReducedForm.residue``.
     """
-    if not m:
-        return all(x == 0 for x in target)
-    h = hermite_normal_form(m)
     b = list(map(int, target))
-    ncols = len(b)
-    for row in h:
-        lead = next((j for j in range(ncols) if row[j] != 0), None)
-        if lead is None:
-            break
-        if b[lead] != 0:
-            if b[lead] % row[lead] != 0:
-                return False
-            q = b[lead] // row[lead]
-            for j in range(ncols):
-                b[j] -= q * row[j]
+    for row in hermite_normal_form(m):
+        lead = next(j for j, x in enumerate(row) if x)
+        if b[lead] % row[lead] != 0:
+            return False
+        q = b[lead] // row[lead]
+        for j in range(lead, len(b)):
+            b[j] -= q * row[j]
     return all(x == 0 for x in b)
 
 
@@ -301,43 +296,37 @@ def eliminate_unit_pivots(
 
 
 class ReducedForm(NamedTuple):
-    """The row lattice of an integer matrix with ``ncols`` columns, as +-1
-    pivot rows (``eliminate_unit_pivots``) and the nonzero rows of the
-    Hermite form of the remaining core, restricted to ``core_columns``."""
+    """The row lattice of an integer matrix with ``ncols`` columns, as one
+    echelon basis of sparse rows, each with its lead column: first the
+    ``units`` +-1 pivot rows of ``eliminate_unit_pivots``, in pivot order,
+    then the Hermite rows of the remaining core."""
 
     ncols: int
-    pivots: Tuple[Tuple[int, SparseRow], ...]
-    core_columns: Tuple[int, ...]
-    hermite: Tuple[Tuple[int, ...], ...]
+    units: int
+    basis: Tuple[Tuple[int, SparseRow], ...]
 
     def invariant_factors(self) -> List[int]:
         """Those of the matrix: each pivot is a unimodular step with factor
         1, and the Hermite rows have the core's factors."""
-        core = invariant_factors(self.hermite) if self.hermite else []
-        return [1] * len(self.pivots) + core
+        core = self.basis[self.units:]
+        columns = sorted({j for _, row in core for j in row})
+        dense = [[row.get(j, 0) for j in columns] for _, row in core]
+        return [1] * self.units + invariant_factors(dense)
 
     def residue(self, target: Mapping[int, int]) -> SparseRow:
         """What is left of a vector {column: entry} after reduction against
-        the pivot rows, in pivot order, and then the Hermite rows; empty
-        exactly when the vector lies in the integer row span."""
+        the basis rows, in order; empty exactly when the vector lies in the
+        integer row span.  On a +-1 pivot the quotient is exact."""
         b = {j: v for j, v in target.items() if v}
-        for c, row in self.pivots:
-            q = b.get(c)
+        for lead, row in self.basis:
+            q = b.get(lead, 0) // row[lead]
             if q:
-                q *= row[c]
                 for j, v in row.items():
                     new = b.get(j, 0) - q * v
                     if new:
                         b[j] = new
                     else:
                         del b[j]
-        dense = [b.pop(j, 0) for j in self.core_columns]
-        for row in self.hermite:
-            lead = next(j for j, x in enumerate(row) if x)
-            q = dense[lead] // row[lead]
-            if q:
-                dense = [x - q * y for x, y in zip(dense, row)]
-        b.update((j, x) for j, x in zip(self.core_columns, dense) if x)
         return dict(sorted(b.items()))
 
 
@@ -346,12 +335,9 @@ def reduced_form(rows: Iterable[Mapping[int, int]], ncols: int) -> ReducedForm:
     pivots, core = eliminate_unit_pivots(rows)
     used = sorted({j for row in core for j in row})
     hermite = hermite_normal_form([[row.get(j, 0) for j in used] for row in core])
-    return ReducedForm(
-        ncols,
-        tuple(pivots),
-        tuple(used),
-        tuple(tuple(row) for row in hermite if any(row)),
-    )
+    core_rows = ({used[j]: x for j, x in enumerate(row) if x} for row in hermite)
+    basis = tuple(pivots) + tuple((min(row), row) for row in core_rows)
+    return ReducedForm(ncols, len(pivots), basis)
 
 
 def rational_solve(a, b: Sequence[int]) -> List[Fraction]:

@@ -21,11 +21,11 @@ polynomial addition per profile.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import comb
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
-from .poly import MultiPoly, TruncSeries
+from .poly import ONE, MultiPoly, TruncSeries
 
 Composition = Tuple[int, ...]
 
@@ -103,15 +103,23 @@ def affine_line_class(mode: ZetaMode) -> MultiPoly:
     return (u * v).specialize(_SPECIALIZATIONS[mode.kind])
 
 
-def zeta_num_den(mode: ZetaMode) -> Tuple[MultiPoly, MultiPoly]:
+def _power(f: MultiPoly, e: int, order: int) -> MultiPoly:
+    """f^e up to t^order, for f with constant term 1: t divides f - 1, so the
+    terms C(e, k) (f - 1)^k with k <= min(e, order) hold every such power."""
+    powers = accumulate(repeat(f - 1, min(e, order)), MultiPoly.__mul__, initial=ONE)
+    return MultiPoly.sum(comb(e, k) * power for k, power in enumerate(powers))
+
+
+def zeta_num_den(mode: ZetaMode, order: int) -> Tuple[MultiPoly, MultiPoly]:
     """Numerator and denominator of the symmetric-power generating function:
-    Macdonald's ((1 - u t)(1 - v t))^g / ((1 - t)(1 - u v t)), specialized."""
+    Macdonald's ((1 - u t)(1 - v t))^g / ((1 - t)(1 - u v t)), specialized.
+    The power is taken after the specialization, up to t^order (``_power``)."""
     t, u, v = (MultiPoly.var(name) for name in "tuv")
     one = MultiPoly.const(1)
-    num = ((one - u * t) * (one - v * t)) ** mode.g
-    den = (one - t) * (one - u * v * t)
     substitution = _SPECIALIZATIONS[mode.kind]
-    return num.specialize(substitution), den.specialize(substitution)
+    num = ((one - u * t) * (one - v * t)).specialize(substitution)
+    den = ((one - t) * (one - u * v * t)).specialize(substitution)
+    return _power(num, mode.g, order), den
 
 
 def closed_form(mode: ZetaMode, ell: int, order: int) -> TruncSeries:
@@ -121,9 +129,9 @@ def closed_form(mode: ZetaMode, ell: int, order: int) -> TruncSeries:
     t = MultiPoly.var("t")
     one = MultiPoly.const(1)
     lam = affine_line_class(mode)
-    num, den = zeta_num_den(mode)
-    num = num * ((one - lam * t) * (one - t)) ** ell
-    den = den * (one - (lam + 1) * t) ** ell
+    num, den = zeta_num_den(mode, order)
+    num = num * _power((one - lam * t) * (one - t), ell, order)
+    den = den * _power(one - (lam + 1) * t, ell, order)
     return TruncSeries.from_rational(num, den, order)
 
 
@@ -181,8 +189,8 @@ def interior_sym_coefficients(mode: ZetaMode, ell: int, order: int) -> List[Mult
 
     Read from the series identity Z_{C minus D}(t) = Z_C(t) * (1-t)^ell.
     """
-    num, den = zeta_num_den(mode)
-    num = num * (MultiPoly.const(1) - MultiPoly.var("t")) ** ell
+    num, den = zeta_num_den(mode, order)
+    num = num * _power(MultiPoly.const(1) - MultiPoly.var("t"), ell, order)
     return list(TruncSeries.from_rational(num, den, order).coeffs)
 
 

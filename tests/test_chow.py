@@ -810,8 +810,8 @@ def test_elimination_keeps_entries_small(kind, fresh_caches):
     reduced = _solved(pres)[0]
     _, rows = _relation_rows(reduced.variables(), reduced.relations, 6)
     pivots, core = linalg.eliminate_unit_pivots(rows)
-    hermite = chow._reduced(pres, 6)[2].hermite
-    entries = [x for _, row in pivots for x in row.values()]
-    entries += [x for row in core for x in row.values()]
-    entries += [x for row in hermite for x in row]
+    form = chow._reduced(pres, 6)[2]
+    assert form.basis[:form.units] == tuple(pivots)
+    entries = [x for row in core for x in row.values()]
+    entries += [x for _, row in form.basis for x in row.values()]
     assert core and max(abs(x) for x in entries).bit_length() <= ENTRY_BITS

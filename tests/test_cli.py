@@ -491,6 +491,26 @@ def test_fan_error_is_an_internal_error():
     assert done.stderr.endswith("loghilb.fan.FanError: internal fault\n")
 
 
+@pytest.mark.parametrize(
+    "mode, g", [("euler", 300), ("poincare", 150), ("hodge", 80)], ids=str
+)
+def test_motive_series_cost_does_not_grow_with_genus(mode, g):
+    # each power of a factor is expanded only to the order read, so a large
+    # genus at N = 4 takes well under a second
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "import sys; sys.path.insert(0, sys.argv[1]); from loghilb import cli\n"
+    script += "sys.exit(cli.main(sys.argv[2:]))"
+    argv = ["motive", "--mode", mode, "--g", str(g), "--N", "4", "--format", "json"]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(src), *argv],
+        capture_output=True,
+        text=True,
+        timeout=15,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["checks"]["strata_sum_matches_series"]
+
+
 def test_motive_single_marking(capsys):
     code, out, _ = run(capsys, "motive", "--mode", "motivic-p1", "--ell", "1", "--N", "6")
     assert code == EXIT_OK

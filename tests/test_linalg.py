@@ -465,7 +465,9 @@ def full_row_hermite_normal_form(m) -> Matrix:
 @example([[18, 1, 2], [28, 0, 1], [33, 2, 0], [-18, 1, 1], [-36, 3, 0], [-44, 0, 1]])
 def test_hermite_suffix_updates_match_full_row_oracle(m):
     before = [list(row) for row in m]
-    assert hermite_normal_form(m) == full_row_hermite_normal_form(m)
+    h = hermite_normal_form(m)
+    assert h == [row for row in full_row_hermite_normal_form(m) if any(row)]
+    assert all(any(row) for row in h)
     assert m == before
 
 
@@ -591,6 +593,17 @@ def test_reduced_form_membership_matches_dense(case, data):
     assert in_row_span_z(m, [b[j] - left.get(j, 0) for j in range(ncols)])
 
 
+@settings(max_examples=300, deadline=None)
+@given(sparse_unit_matrices())
+def test_reduced_form_basis_rows_reduce_to_nothing(case):
+    m, ncols = case
+    form = reduced_form(sparse(m), ncols)
+    leads = [lead for lead, _ in form.basis]
+    assert all(row[lead] for lead, row in form.basis)
+    assert len(set(leads)) == len(leads)
+    assert all(form.residue(row) == {} for _, row in form.basis)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_unit_matrices())
 def test_unit_pivots_in_markowitz_order(case):
@@ -615,7 +628,7 @@ def test_reduced_form_of_the_empty_matrix():
 def test_reduced_form_keeps_torsion_in_the_core():
     # x - y has a unit pivot; 2y stays in the core
     form = reduced_form([{0: 1, 1: -1}, {1: 2}], 2)
-    assert len(form.pivots) == 1 and form.hermite == ((2,),)
+    assert form.units == 1 and form.basis == ((0, {0: 1, 1: -1}), (1, {1: 2}))
     assert form.invariant_factors() == [1, 2]
     assert form.residue({0: 1}) == {1: 1}
     assert form.residue({0: 2}) == {}

@@ -291,19 +291,31 @@ MODES_UP_TO_GENUS_3 = [MOTIVIC_P1] + [
 ]
 
 
-@pytest.mark.parametrize("mode", MODES_UP_TO_GENUS_3, ids=str)
-def test_macdonald_table_matches_the_stated_formulas(mode):
+# exponents far above the order read: g = 8, 12 and ell = 6, to order 4
+LARGE_EXPONENTS = [
+    pytest.param(ZetaMode(kind, g), (6,), 4, id=f"{ZetaMode(kind, g)}-ell6-order4")
+    for kind in ("hodge", "poincare", "euler")
+    for g in (8, 12)
+]
+
+
+@pytest.mark.parametrize(
+    "mode, ells, max_order",
+    [pytest.param(mode, range(4), 10, id=str(mode)) for mode in MODES_UP_TO_GENUS_3]
+    + LARGE_EXPONENTS,
+)
+def test_macdonald_table_matches_the_stated_formulas(mode, ells, max_order):
     t, one = MultiPoly.var("t"), MultiPoly.const(1)
     lam = stated_affine_line_class(mode)
     assert affine_line_class(mode) == lam
     num, den = stated_zeta_num_den(mode)
-    for ell in range(4):
+    for ell in ells:
         closed = (
             num * ((one - lam * t) * (one - t)) ** ell,
             den * (one - (lam + 1) * t) ** ell,
         )
         interior = (num * (one - t) ** ell, den)
-        for order in range(11):
+        for order in range(max_order + 1):
             expected = TruncSeries.from_rational(*closed, order).coeffs
             assert closed_form(mode, ell, order).coeffs == expected
             expected = list(TruncSeries.from_rational(*interior, order).coeffs)
