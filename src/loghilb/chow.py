@@ -48,54 +48,64 @@ class PresentationError(ValueError):
 HYPERPLANE = "H"
 
 
-class BaseRing(NamedTuple("BaseRing", [("kind", str), ("n", int), ("markings", int)])):
-    """Coefficient ring of a presentation.
+class BaseRing(NamedTuple("BaseRing", [
+    ("kind", str),
+    ("variables", Tuple[str, ...]),
+    ("relations", Tuple[MultiPoly, ...]),
+    ("divisors", Tuple[str, ...]),
+    ("kernels", Tuple[str, ...]),
+    ("json", Tuple[Tuple[str, object], ...]),
+])):
+    """Coefficient ring of a presentation, held as the data presentations read:
+    its own degree-1 variables and relations; the divisor class of each
+    marking, so a presentation over it has that many markings; ``str.format``
+    patterns in m and r of opaque generators of the kernel of restriction to
+    the m-th symmetric power along marking r (``kernel_generators``); and its
+    JSON object, the ``kind`` tag first.
 
-    kind "integers": plain Z.
-    kind "trunc_hyperplane": Z[H]/(H^(n+1)), the Chow ring of the n-th
-        symmetric power of the line, with the hyperplane class H equal to
-        the first Chern class of the tautological bundle.
-    kind "symbolic_curve": opaque degree-1 classes c1L_r and opaque
-        kernel tokens for a positive-genus curve; relations are emitted
-        symbolically and no graded computation is available.
+    ``integers()`` is plain Z, with no markings.  ``p1(n)`` is Z[H]/(H^(n+1)),
+    the Chow ring of the n-th symmetric power of the line, for one marking,
+    whose divisor is the hyperplane class H.  ``symbolic(k)`` is a
+    positive-genus curve with k markings, known only by the opaque names c1L_r
+    and kerS{m}_r; they are not variables, so graded computations refuse them.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
-    def __new__(cls, kind: str, n: int = 0, markings: int = 1):
+    def __new__(cls, kind, variables, relations, divisors, kernels, json):
         if kind not in ("integers", "trunc_hyperplane", "symbolic_curve"):
             raise PresentationError(f"unknown base ring kind {kind!r}")
-        return super().__new__(cls, kind, n, markings)
+        return super().__new__(cls, kind, variables, relations, divisors, kernels, json)
 
     @staticmethod
     def integers() -> "BaseRing":
-        return BaseRing("integers")
+        return BaseRing("integers", (), (), (), (), ())
 
     @staticmethod
     def p1(n: int) -> "BaseRing":
-        return BaseRing("trunc_hyperplane", n=n)
+        trunc = MultiPoly.var(HYPERPLANE) ** (n + 1)
+        json = (("n", n), ("variable", HYPERPLANE))
+        return BaseRing(
+            "trunc_hyperplane", (HYPERPLANE,), (trunc,), (HYPERPLANE,), (), json
+        )
 
     @staticmethod
     def symbolic(markings: int = 1) -> "BaseRing":
-        return BaseRing("symbolic_curve", markings=markings)
-
-    def c1_name(self, r: int) -> str:
-        if self.kind == "symbolic_curve":
-            return f"c1L_{r}"
-        return HYPERPLANE
+        divisors = tuple(f"c1L_{r}" for r in range(1, markings + 1))
+        json = (("markings", markings),)
+        return BaseRing("symbolic_curve", (), (), divisors, ("kerS{m}_{r}",), json)
 
     def kernel_generators(self, m: int, r: int) -> Tuple[MultiPoly, ...]:
-        """Generators of the kernel of restriction to the m-th symmetric power.
+        """Generators of the kernel of restriction to the m-th symmetric power
+        along marking r: the (m+1)-th power of each variable (H^(m+1) for the
+        line), then one opaque generator per pattern of ``kernels``."""
+        powers = tuple(MultiPoly.var(v) ** (m + 1) for v in self.variables)
+        opaque = (MultiPoly.var(token.format(m=m, r=r)) for token in self.kernels)
+        return powers + tuple(opaque)
 
-        For the line this is the principal ideal generated by H^(m+1); in
-        symbolic mode an opaque token stands in for the whole kernel.
-        """
-        if self.kind == "trunc_hyperplane":
-            return (MultiPoly.var(HYPERPLANE) ** (m + 1),)
-        if self.kind == "symbolic_curve":
-            return (MultiPoly.var(f"kerS{m}_{r}"),)
-        raise PresentationError("plain integer base has no symmetric-power maps")
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, **dict(self.json)}
 
 
 class GradedPresentation(NamedTuple("GradedPresentation", [
@@ -109,41 +119,24 @@ class GradedPresentation(NamedTuple("GradedPresentation", [
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
-    def __new__(
-        cls,
-        base: BaseRing,
-        generators: Tuple[str, ...],
-        relations: Tuple[MultiPoly, ...],
-        top_degree: int,
-    ):
+    def __new__(cls, base, generators, relations, top_degree):
         if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
-        if base.kind == "trunc_hyperplane" and HYPERPLANE in generators:
+        if set(generators) & set(base.variables):
             raise PresentationError("generator name clashes with the base variable")
         return super().__new__(cls, base, generators, relations, top_degree)
 
     def variables(self) -> Tuple[str, ...]:
         """All degree-1 variables of the ambient graded ring."""
-        if self.base.kind == "trunc_hyperplane":
-            return self.generators + (HYPERPLANE,)
-        return self.generators
+        return self.generators + self.base.variables
 
     def all_relations(self) -> Tuple[MultiPoly, ...]:
-        """Stated relations plus the base ring's implicit truncation."""
-        if self.base.kind == "trunc_hyperplane":
-            trunc = MultiPoly.var(HYPERPLANE) ** (self.base.n + 1)
-            return self.relations + (trunc,)
-        return self.relations
+        """Stated relations plus the base ring's own."""
+        return self.relations + self.base.relations
 
     def to_json_dict(self) -> dict:
-        base: dict = {"kind": self.base.kind}
-        if self.base.kind == "trunc_hyperplane":
-            base["n"] = self.base.n
-            base["variable"] = HYPERPLANE
-        if self.base.kind == "symbolic_curve":
-            base["markings"] = self.base.markings
         return {
-            "base": base,
+            "base": self.base.to_json_dict(),
             "generators": [{"name": g, "degree": 1} for g in self.generators],
             "relations": [r.to_string() for r in self.relations],
             "top_degree": self.top_degree,
@@ -219,10 +212,14 @@ def monomial_exponents(nvars: int, degree: int) -> List[Exponent]:
     return out
 
 
-def _embed_terms(p: MultiPoly, var_order: Sequence[str]) -> Dict[Exponent, int]:
+def _check_in_ring(p: MultiPoly, var_order: Sequence[str]) -> None:
     for v in p.vars:
         if v not in var_order:
             raise PresentationError(f"relation variable {v!r} not in the ring")
+
+
+def _embed_terms(p: MultiPoly, var_order: Sequence[str]) -> Dict[Exponent, int]:
+    _check_in_ring(p, var_order)
     return p.embedded(var_order)
 
 
@@ -279,10 +276,11 @@ def _solved(
     ring's relations included, and the map {eliminated variable: image}.
     """
     relations = [rel for rel in pres.all_relations() if not rel.is_zero()]
+    variables = pres.variables()
     for rel in relations:
         if not rel.is_homogeneous():
             raise PresentationError(f"inhomogeneous relation {rel.to_string()!r}")
-    variables = pres.variables()
+        _check_in_ring(rel, variables)
     linear = [rel for rel in relations if rel.degree() == 1]
     index, rows = _relation_rows(variables, linear, 1)
     basis = tuple(index)
@@ -320,8 +318,6 @@ def graded_group(pres: GradedPresentation, degree: int) -> GradedPiece:
     solved (``_solved``), which has the same graded pieces; torsion is
     always reported.
     """
-    if pres.base.kind == "symbolic_curve":
-        raise PresentationError("no graded computation in symbolic mode")
     if degree < 0:
         raise PresentationError("negative degree")
     form = _reduced(pres, degree)[2]
@@ -424,9 +420,7 @@ def q_polynomial(
     return result
 
 
-def q_for_levels(
-    n_top: int, m: int, h: int, r: int, base: BaseRing
-) -> MultiPoly:
+def q_for_levels(n_top: int, m: int, h: int, r: int, base: BaseRing) -> MultiPoly:
     """Blow-up relation: Q_{m,h} instantiated on the exceptional generators.
 
     Upper slots are the honest divisor classes of levels (n_top - m) + h + 1
@@ -436,7 +430,7 @@ def q_for_levels(
     """
     shift = n_top - m
     uppers = [eps_name(shift + h + j, r) for j in range(1, m - h + 1)]
-    q = q_polynomial(m, h, "_t", uppers, base.c1_name(r))
+    q = q_polynomial(m, h, "_t", uppers, base.divisors[r - 1])
     return q.specialize({"_t": -MultiPoly.var(eps_name(shift + h, r))})
 
 
@@ -474,7 +468,7 @@ def thmD_presentation(
     ell = len(i_vector)
     if ell < 1:
         raise PresentationError("need at least one marking")
-    if base.kind == "symbolic_curve" and base.markings != ell:
+    if len(base.divisors) != ell:
         raise PresentationError("base ring marking count mismatch")
     gens: List[str] = []
     relations: List[MultiPoly] = []
@@ -521,6 +515,8 @@ def iterated_keel(n: int, i: int, base: BaseRing) -> GradedPresentation:
     symmetric-power pullback together with lifts of all relations of the
     center's own presentation.
     """
+    if len(base.divisors) != 1:
+        raise PresentationError("base ring marking count mismatch")
     pres = GradedPresentation(base, (), (), n)
     for j in blowup_levels(n, i):
         m = n - j

@@ -303,14 +303,15 @@ def star_subdivide(
 ) -> StackyFan:
     """Weighted star subdivision at a centre, given as (ray label, weight) pairs.
 
-    The new ray v is the primitive vector on ``sum(w_r * u_r)``, of gcd g.
-    Each maximal cone C holding the centre gives way to ``(C - {r}) + {v}`` for
-    each centre ray r; kept cones keep their determinants.  A one-ray centre is
-    a silent no-op: the modification of the moduli problem is an isomorphism.
+    The new ray v is ``sum(w_r * u_r)``, refused unless primitive: a multiple
+    of a primitive vector is a stacky generator, and the fan on its primitive
+    vector is a different stack from the weighted blow-up.  Each maximal cone
+    C holding the centre gives way to ``(C - {r}) + {v}`` for each centre ray
+    r; kept cones keep their determinants.  A one-ray centre is a silent
+    no-op: the modification of the moduli problem is an isomorphism.
 
-    As v is ``(w_r / g) * u_r`` plus rays of F = C - {r}, the new cone has
-    det(F + [v]) = det(F + [r]) * w_r / g, an exact division: no solve and no
-    determinant is computed.
+    As v is ``w_r * u_r`` plus rays of F = C - {r}, the new cone has
+    det(F + [v]) = det(F + [r]) * w_r: no solve and no determinant is computed.
     """
     names = "{" + ", ".join(name for name, _ in centre) + "}"
     index = {ray.label: i for i, ray in enumerate(fan.rays)}
@@ -330,16 +331,17 @@ def star_subdivide(
     total = [0] * fan.dim
     for r, w in weights.items():
         total = [x + w * y for x, y in zip(total, fan.rays[r].vector)]
-    g = gcd(*total)
+    if not is_primitive(total):
+        raise FanError(f"centre {names} has weighted sum {tuple(total)}, not primitive")
     new_index = len(fan.rays)
-    rays = fan.rays + (Ray(label or f"ray_{new_index}", tuple(x // g for x in total)),)
+    rays = fan.rays + (Ray(label or f"ray_{new_index}", total),)
     dets: Dict[FrozenSet[int], int] = {}
     for cone, cone_det in fan.cone_dets.items():
         if not weights.keys() <= cone:
             dets[cone] = cone_det
             continue
         for r, w in weights.items():
-            dets[(cone - {r}) | {new_index}] = fan._side(cone - {r}, r) * w // g
+            dets[(cone - {r}) | {new_index}] = fan._side(cone - {r}, r) * w
     return StackyFan(fan.dim, rays, dets.keys(), cone_dets=dets)
 
 

@@ -21,7 +21,7 @@ polynomial addition per profile.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, combinations, product, repeat
 from math import comb
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
@@ -148,24 +148,25 @@ def compositions(total: int) -> Tuple[Composition, ...]:
     return tuple(out)
 
 
+def weak_compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
+    """All ways to write total as an ordered sum of parts non-negative
+    integers, in lexicographic order: stars and bars, one combination of
+    parts - 1 bar positions among total + parts - 1 slots each."""
+    slots = total + parts - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        for bars in combinations(range(slots), parts - 1)
+    ]
+
+
 def enumerate_profiles(n: int, ell: int) -> List[StratumProfile]:
     """All stratum profiles of total length n for ell markings."""
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and at least one marking")
-
-    def splits(total: int, parts: int) -> List[Tuple[int, ...]]:
-        if parts == 1:
-            return [(total,)]
-        return [
-            (a,) + rest
-            for a in range(total + 1)
-            for rest in splits(total - a, parts - 1)
-        ]
-
     return [
         StratumProfile(m, nu)
         for m in range(n, -1, -1)
-        for totals in splits(n - m, ell)
+        for totals in weak_compositions(n - m, ell)
         for nu in product(*map(compositions, totals))
     ]
 

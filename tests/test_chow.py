@@ -67,25 +67,36 @@ def test_q_formally_zero():
 
 def test_base_ring_validation():
     with pytest.raises(PresentationError):
-        BaseRing("bogus")
+        BaseRing.integers()._replace(kind="bogus")
     with pytest.raises(PresentationError):
-        BaseRing(kind="p1", n=2)
-    assert BaseRing.p1(3) == BaseRing("trunc_hyperplane", n=3)
+        BaseRing.p1(2)._replace(kind="p1")
+    assert BaseRing.p1(3) == BaseRing(
+        "trunc_hyperplane", ("H",), (H ** 4,), ("H",), (),
+        (("n", 3), ("variable", "H")),
+    )
     assert BaseRing.p1(3) != BaseRing.p1(4)
     assert repr(BaseRing.integers()) == (
-        "BaseRing(kind='integers', n=0, markings=1)"
+        "BaseRing(kind='integers', variables=(), relations=(), divisors=(), "
+        "kernels=(), json=())"
     )
 
 
 def test_base_ring_and_presentation_keep_the_value_contract():
-    base = BaseRing("integers")
-    assert (base.n, base.markings) == (0, 1)
-    assert base == ("integers", 0, 1)
-    assert BaseRing(markings=3, kind="symbolic_curve") == BaseRing.symbolic(3)
-    assert base._replace(kind="trunc_hyperplane", n=2) == BaseRing.p1(2)
-    assert type(base._replace(n=2)) is BaseRing
+    base = BaseRing.integers()
+    assert (base.variables, base.divisors) == ((), ())
+    assert base == ("integers", (), (), (), (), ())
+    assert BaseRing(
+        json=(("markings", 3),), kind="symbolic_curve", variables=(),
+        relations=(), divisors=("c1L_1", "c1L_2", "c1L_3"),
+        kernels=("kerS{m}_{r}",),
+    ) == BaseRing.symbolic(3)
+    assert base._replace(
+        kind="trunc_hyperplane", variables=("H",), relations=(H ** 3,),
+        divisors=("H",), json=(("n", 2), ("variable", "H")),
+    ) == BaseRing.p1(2)
+    assert type(base._replace(divisors=("H",))) is BaseRing
     with pytest.raises(PresentationError) as caught:
-        BaseRing("p1", 2)
+        base._replace(kind="p1")
     assert str(caught.value) == "unknown base ring kind 'p1'"
     pres = GradedPresentation(
         top_degree=2, relations=(), generators=("e",), base=BaseRing.p1(2)
@@ -95,6 +106,31 @@ def test_base_ring_and_presentation_keep_the_value_contract():
     moved = pres._replace(relations=(relation,))
     assert type(moved) is GradedPresentation
     assert moved == GradedPresentation(BaseRing.p1(2), ("e",), (relation,), 2)
+
+
+def test_base_json_and_symbolic_relations_are_pinned():
+    # `chow --format text` prints the JSON dict's repr, so the key order of
+    # the base object is part of the output, as are the symbolic relations
+    bases = [
+        (BaseRing.p1(3), {"kind": "trunc_hyperplane", "n": 3, "variable": "H"}),
+        (BaseRing.symbolic(2), {"kind": "symbolic_curve", "markings": 2}),
+        (BaseRing.integers(), {"kind": "integers"}),
+    ]
+    for base, expected in bases:
+        got = GradedPresentation(base, (), (), 1).to_json_dict()["base"]
+        assert list(got.items()) == list(expected.items())
+    pres = thmD_presentation(3, [1, 1], BaseRing.symbolic(2))
+    marking = [
+        "c1L_{r}^3 - 6*c1L_{r}^2*eps3_{r} + 11*c1L_{r}*eps3_{r}^2 - 6*eps3_{r}^3",
+        "eps3_{r}*kerS0_{r}",
+        "c1L_{r}^2 - 3*c1L_{r}*eps2_{r} - 5*c1L_{r}*eps3_{r} + 2*eps2_{r}^2"
+        " + 7*eps2_{r}*eps3_{r} + 6*eps3_{r}^2",
+        "eps2_{r}*kerS1_{r}",
+        "c1L_{r}*eps2_{r} - eps2_{r}*eps3_{r}",
+    ]
+    expected = [rel.format(r=r) for r in (1, 2) for rel in marking]
+    assert [rel.to_string() for rel in pres.relations] == expected
+    assert [rel.to_string() for rel in pres.all_relations()] == expected
 
 
 @pytest.mark.parametrize(
@@ -375,6 +411,31 @@ def test_keel_step_validation():
     stepped = keel_step(pres, [H], q_polynomial(2, 2, "e"), "e")
     with pytest.raises(PresentationError):
         keel_step(stepped, [H], H, "e")  # duplicate generator
+
+
+def test_each_marking_needs_a_divisor_of_the_base():
+    for build in (
+        lambda: thmD_presentation(3, [1, 1], BaseRing.p1(3)),
+        lambda: thmD_presentation(3, [1], BaseRing.symbolic(2)),
+        lambda: thmD_presentation(3, [1], BaseRing.integers()),
+        lambda: iterated_keel(3, 1, BaseRing.symbolic(2)),
+        lambda: iterated_keel(3, 1, BaseRing.integers()),
+    ):
+        with pytest.raises(PresentationError) as caught:
+            build()
+        assert str(caught.value) == "base ring marking count mismatch"
+
+
+def test_graded_computations_refuse_names_outside_the_ring():
+    # the symbolic tokens c1L_r and kerS{m}_r are not variables of the base;
+    # degree 0 reads no relation, so only the screen in _solved refuses it
+    pres = thmD_presentation(3, [1], BaseRing.symbolic(1))
+    for degree in (0, 3):
+        with pytest.raises(PresentationError) as caught:
+            graded_group(pres, degree)
+        assert str(caught.value) == "relation variable 'c1L_1' not in the ring"
+    with pytest.raises(PresentationError, match="not in the ring"):
+        ideal_member(pres, eps(3))
 
 
 def test_symbolic_two_markings_structure():

@@ -553,6 +553,14 @@ def test_strata_trivial_case(capsys):
     assert len(rows) == 1
 
 
+def test_strata_with_many_markings_exits_cleanly(capsys):
+    # the profile enumeration once recursed once per marking: ell = 600 ran
+    # past the interpreter's recursion limit and exited 1
+    code, doc = run_json(capsys, "strata", "--n", "1", "--ell", "600")
+    assert code == EXIT_OK
+    assert doc["checks"] == {"total_matches_series": True}
+
+
 def test_strata_single_profile(capsys):
     code, out, _ = run(
         capsys, "strata", "--n", "5", "--ell", "3", "--profile", "1;(1,2);();(1)"

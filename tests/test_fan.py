@@ -153,22 +153,6 @@ def test_star_subdivide_interior_point():
 
 
 @pytest.mark.parametrize(
-    "weights",
-    [((2, 2), (1, 1)), ((2, 4, 6), (1, 2, 3)), ((3, 6, 9), (1, 2, 3))],
-)
-def test_star_subdivide_divides_out_the_gcd_of_the_weights(weights):
-    scaled, coprime = weights
-    base = projective_fan(len(scaled))
-    centre = lambda ws: [(f"sigma_{k}", w) for k, w in enumerate(ws, start=1)]
-    fan = star_subdivide(base, centre(scaled), "new")
-    same = star_subdivide(base, centre(coprime), "new")
-    assert fan.rays == same.rays and fan.rays[-1].vector == coprime
-    assert fan.max_cones == same.max_cones
-    assert fan.cone_dets == same.cone_dets
-    assert_cone_dets_match_det(fan)
-
-
-@pytest.mark.parametrize(
     "base, centre, message",
     [
         (
@@ -194,6 +178,25 @@ def test_star_subdivide_divides_out_the_gcd_of_the_weights(weights):
             "centre {sigma_1, sigma_2} lies in no maximal cone",
         ),
         (projective_fan(2), [], "the centre names no ray"),
+        # a non-primitive weighted sum would be a stacky generator, not the
+        # weighted blow-up; dividing out its gcd built a different stack
+        (
+            projective_fan(2),
+            [("sigma_1", 2), ("sigma_2", 2)],
+            "centre {sigma_1, sigma_2} has weighted sum (2, 2), not primitive",
+        ),
+        (
+            projective_fan(3),
+            [("sigma_1", 2), ("sigma_2", 4), ("sigma_3", 6)],
+            "centre {sigma_1, sigma_2, sigma_3} has weighted sum (2, 4, 6), "
+            "not primitive",
+        ),
+        (
+            projective_fan(3),
+            [("sigma_1", 3), ("sigma_2", 6), ("sigma_3", 9)],
+            "centre {sigma_1, sigma_2, sigma_3} has weighted sum (3, 6, 9), "
+            "not primitive",
+        ),
     ],
 )
 def test_star_subdivide_refusals(base, centre, message):
@@ -586,7 +589,8 @@ def subdivided_projective_fans(draw):
     """projective_fan(d), d <= 4, star-subdivided at up to four drawn weighted
     centres: either an arbitrary vector's minimal cone, weighted by the
     vector's Cramer numerators there, or a few rays of one maximal cone with
-    drawn weights, whose gcd may exceed 1."""
+    drawn weights.  A centre whose weighted sum is not primitive is refused
+    and drawn past."""
     dim = draw(st.integers(min_value=1, max_value=4))
     fan = projective_fan(dim)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -599,16 +603,19 @@ def subdivided_projective_fans(draw):
             cone = sorted(draw(st.sampled_from(fan.max_cones)))
             face = draw(st.lists(st.sampled_from(cone), min_size=1, unique=True))
             weights = {i: draw(st.integers(1, 3)) for i in face}
-            v = [
-                sum(w * fan.rays[i].vector[k] for i, w in weights.items())
-                for k in range(dim)
-            ]
-        subdivided = star_subdivide(
-            fan, [(fan.rays[i].label, w) for i, w in weights.items()]
+        total = tuple(
+            sum(w * fan.rays[i].vector[k] for i, w in weights.items())
+            for k in range(dim)
         )
+        centre = [(fan.rays[i].label, w) for i, w in weights.items()]
+        if len(weights) > 1 and gcd(*total) > 1:
+            with pytest.raises(FanError, match="not primitive"):
+                star_subdivide(fan, centre)
+            continue
+        subdivided = star_subdivide(fan, centre)
         if len(weights) > 1:
-            # the new ray is the primitive vector on v
-            assert subdivided.rays[-1].vector == tuple(x // gcd(*v) for x in v)
+            # the new ray is the weighted sum itself
+            assert subdivided.rays[-1].vector == total
         fan = subdivided
     return fan
 

@@ -1,7 +1,8 @@
 """Every name a loghilb module imports is used in that module, every private
 function or method of the package is referenced somewhere in it, every public
-one is called from the package or traced by the benchmark, and no private
-class is named only as the base of one other class."""
+one is called from the package or traced by the benchmark, no private class
+is named only as the base of one other class, and no code but ``BaseRing``
+branches on a base ring's kind."""
 
 import ast
 import importlib
@@ -241,3 +242,44 @@ def test_shadow_class_is_found():
         "class _Alone:\n    pass\n"
     )
     assert shadow_classes({"m.py": source}) == ["m.py: _Fields (line 2)"]
+
+
+def kind_comparisons(source: str):
+    """Comparisons that read a ``.kind`` attribute outside ``class BaseRing``:
+    a base ring is data, so code that reads it asks for the data, not the tag."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "BaseRing"
+        for node in ast.walk(cls)
+    }
+    return [
+        f"line {node.lineno}"
+        for node in sorted(
+            (n for n in ast.walk(tree) if isinstance(n, ast.Compare)),
+            key=lambda n: n.lineno,
+        )
+        if id(node) not in exempt
+        and any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in ast.walk(node))
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_branch_on_a_kind_outside_base_ring(path):
+    assert kind_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+def test_kind_comparison_is_found():
+    source = (
+        "class BaseRing:\n"
+        "    def tag(self):\n        return self.kind == 'integers'\n"
+        "def variables(pres):\n"
+        "    if pres.base.kind == 'trunc_hyperplane':\n        return ('H',)\n"
+        "    return ()\n"
+        "def table(mode):\n    return TABLE[mode.kind]\n"
+        "def local(kind):\n    return kind != 'hodge'\n"
+        "class Other:\n"
+        "    def symbolic(self):\n        return self.base.kind in ('symbolic_curve',)\n"
+    )
+    assert kind_comparisons(source) == ["line 5", "line 14"]

@@ -22,6 +22,7 @@ from loghilb.strata import (
     strata_classes,
     strata_sum,
     stratum_class,
+    weak_compositions,
 )
 
 
@@ -106,6 +107,27 @@ def test_enumerate_profiles_counts():
     assert len(profiles) == 1 + 1 + 2 + 4
     assert len({str(p) for p in profiles}) == len(profiles)
     assert all(p.total == 3 for p in profiles)
+
+
+def recursive_splits(total, parts):
+    """The recursive enumeration that ``weak_compositions`` replaced: first
+    part ascending, then the rest in the same order."""
+    if parts == 1:
+        return [(total,)]
+    return [
+        (a,) + rest
+        for a in range(total + 1)
+        for rest in recursive_splits(total - a, parts - 1)
+    ]
+
+
+def test_weak_compositions_keep_the_recursive_order():
+    for total in range(7):
+        for parts in range(1, 7):
+            assert weak_compositions(total, parts) == recursive_splits(total, parts)
+    # no recursion: one part per marking, far past the recursion limit
+    wide = weak_compositions(1, 2000)
+    assert len(wide) == 2000 and wide[0] == (0,) * 1999 + (1,)
 
 
 def test_profile_count_counts_without_enumerating():
