@@ -36,7 +36,7 @@ from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .fan import StackyFan, blowup_centre, blowup_levels
 from .linalg import ReducedForm, reduced_form
-from .poly import Exponent, MultiPoly, ZERO
+from .poly import Exponent, MultiPoly, ZERO, monomial_exponents
 from .strata import StratumProfile
 
 
@@ -199,17 +199,6 @@ def sr_presentation(fan: StackyFan) -> GradedPresentation:
 
 # ---------------------------------------------------------------------------
 # graded pieces by monomial enumeration + invariant factors
-
-
-def monomial_exponents(nvars: int, degree: int) -> List[Exponent]:
-    """All exponent vectors of the given total degree, in a fixed order."""
-    out = []
-    for mono in itertools.combinations_with_replacement(range(nvars), degree):
-        exp = [0] * nvars
-        for i in mono:
-            exp[i] += 1
-        out.append(tuple(exp))
-    return out
 
 
 def _check_in_ring(p: MultiPoly, var_order: Sequence[str]) -> None:

@@ -65,7 +65,7 @@ EXIT_CHECK_FAILED = 3
 # machine with Python 3.11 (README "Size caps" gives the runs and their times).
 # Graded groups are computed only over the p1 base, which takes one marking
 # (only thmD reads --ell), so MAX_N_GROUPS bounds every graded job; motive and
-# strata also bound the profiles their oracle enumerates (``_check_series``).
+# strata also bound the composition slots their oracle fills (``_check_series``).
 MAX_N_FAN = 9
 MAX_N_GROUPS = 7
 MAX_N_MOTIVE = 12
@@ -101,17 +101,17 @@ def _check_series(
     args: argparse.Namespace, what: str, flag: str, n: int, count: Callable[[int, int], int]
 ) -> None:
     """The refusals motive and strata share: ``n`` (``N`` for motive) within
-    MAX_N_MOTIVE, at least one marking, and, without --force, no more profiles
-    for the oracle to enumerate (``count(n, ell)``) than at MAX_N_MOTIVE with
-    three markings."""
+    MAX_N_MOTIVE, at least one marking, and, without --force, no more
+    composition slots for the oracle to fill (``count(n, ell)`` profiles of
+    ell compositions each) than at MAX_N_MOTIVE with three markings."""
     _check_cap(n, MAX_N_MOTIVE, what, args.force, flag)
     if args.ell < 1:
         raise UsageError(f"{what}: need at least one marking")
-    cap, wanted = count(MAX_N_MOTIVE, 3), count(n, args.ell)
+    cap, wanted = count(MAX_N_MOTIVE, 3) * 3, count(n, args.ell) * args.ell
     if wanted > cap and not args.force:
         raise UsageError(
-            f"{what}: {flag} = {n} with ell = {args.ell} enumerates {wanted} profiles,"
-            f" above the safety cap {cap} of {flag} = {MAX_N_MOTIVE} with ell = 3"
+            f"{what}: {flag} = {n} with ell = {args.ell} fills {wanted} composition"
+            f" slots, above the safety cap {cap} of {flag} = {MAX_N_MOTIVE} with ell = 3"
             " (pass --force to override)"
         )
 

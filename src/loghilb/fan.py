@@ -58,8 +58,9 @@ class Ray(NamedTuple("Ray", [("label", str), ("vector", Vector)])):
 class StackyFan:
     """A simplicial fan with primitive ray generators.
 
-    ``max_cones`` holds frozensets of indices into ``rays``.  Rays keep
-    insertion order and cones are kept sorted for deterministic output.
+    ``max_cones`` holds frozensets of indices into ``rays``.  A ray's label
+    is its identity, so no two rays share one.  Rays keep insertion order
+    and cones are kept sorted for deterministic output.
     ``cone_dets`` maps each maximal cone to the determinant of its ray
     vectors as rows in sorted index order (nonzero: the cone is full).  A
     caller may pass them, as ``star_subdivide`` does; else each is computed.
@@ -74,9 +75,13 @@ class StackyFan:
         self.max_cones = tuple(sorted(cones, key=lambda c: sorted(c)))
         self._faces: Optional[Tuple[FrozenSet[int], Tuple[int, ...]]] = None
         self._facet_opposites: Optional[FacetMap] = None
+        seen = set()
         for ray in self.rays:
             if len(ray.vector) != dim:
                 raise FanError("ray dimension mismatch")
+            if ray.label in seen:
+                raise FanError(f"two rays are labelled {ray.label}")
+            seen.add(ray.label)
         dets: Dict[FrozenSet[int], int] = {}
         for cone in self.max_cones:
             if len(cone) != dim:
@@ -299,9 +304,10 @@ def projective_fan(n: int) -> StackyFan:
 
 
 def star_subdivide(
-    fan: StackyFan, centre: Sequence[Tuple[str, int]], label: Optional[str] = None
+    fan: StackyFan, centre: Sequence[Tuple[str, int]], label: str
 ) -> StackyFan:
-    """Weighted star subdivision at a centre, given as (ray label, weight) pairs.
+    """Weighted star subdivision at a centre, given as (ray label, weight) pairs,
+    adding a ray named ``label``.
 
     The new ray v is ``sum(w_r * u_r)``, refused unless primitive: a multiple
     of a primitive vector is a stacky generator, and the fan on its primitive
@@ -334,7 +340,7 @@ def star_subdivide(
     if not is_primitive(total):
         raise FanError(f"centre {names} has weighted sum {tuple(total)}, not primitive")
     new_index = len(fan.rays)
-    rays = fan.rays + (Ray(label or f"ray_{new_index}", total),)
+    rays = fan.rays + (Ray(label, total),)
     dets: Dict[FrozenSet[int], int] = {}
     for cone, cone_det in fan.cone_dets.items():
         if not weights.keys() <= cone:

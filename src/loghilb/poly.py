@@ -11,7 +11,9 @@ every variable occurs is kept as it is, and over the integers every product
 of canonical operands is such a map.  Each kernel operation has one
 implementation: the term product ``_times``, the exponent embedding
 ``embedded``, the substitution ``specialize`` and the sum ``MultiPoly.sum``,
-which ``+`` and ``-`` call.
+which ``+`` and ``-`` call.  The exponent vectors of one degree have one
+enumerator, ``monomial_exponents``: the Chow monomial bases and the
+compositions of ``strata`` read it.
 
 Also provides truncated power series in a distinguished variable ``t``
 with MultiPoly coefficients, including exact expansion of rational
@@ -20,9 +22,22 @@ functions whose denominator has unit constant term.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+import itertools
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
+
+
+def monomial_exponents(nvars: int, degree: int) -> List[Exponent]:
+    """All exponent vectors of the given total degree, the weak compositions
+    of ``degree`` into ``nvars`` parts, in descending lexicographic order."""
+    out = []
+    for mono in itertools.combinations_with_replacement(range(nvars), degree):
+        exp = [0] * nvars
+        for i in mono:
+            exp[i] += 1
+        out.append(tuple(exp))
+    return out
 
 
 class NonUnitDenominatorError(ValueError):

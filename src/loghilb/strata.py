@@ -21,11 +21,11 @@ polynomial addition per profile.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, product, repeat
 from math import comb
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
-from .poly import ONE, MultiPoly, TruncSeries
+from .poly import ONE, MultiPoly, TruncSeries, monomial_exponents
 
 Composition = Tuple[int, ...]
 
@@ -137,36 +137,24 @@ def closed_form(mode: ZetaMode, ell: int, order: int) -> TruncSeries:
 
 @lru_cache(maxsize=None)
 def compositions(total: int) -> Tuple[Composition, ...]:
-    """All compositions of total, sorted by length then entries."""
-    if total == 0:
-        return ((),)
-    out: List[Composition] = []
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            out.append((first,) + rest)
-    out.sort(key=lambda c: (len(c), c))
-    return tuple(out)
-
-
-def weak_compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
-    """All ways to write total as an ordered sum of parts non-negative
-    integers, in lexicographic order: stars and bars, one combination of
-    parts - 1 bar positions among total + parts - 1 slots each."""
-    slots = total + parts - 1
-    return [
-        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
-        for bars in combinations(range(slots), parts - 1)
-    ]
+    """All compositions of total, by length then entries: those of k parts
+    are the weak compositions of total - k into k parts, each part plus 1."""
+    return tuple(
+        tuple(x + 1 for x in e)
+        for k in range(total + 1)
+        for e in reversed(monomial_exponents(k, total - k))
+    )
 
 
 def enumerate_profiles(n: int, ell: int) -> List[StratumProfile]:
-    """All stratum profiles of total length n for ell markings."""
+    """All stratum profiles of total length n for ell markings: interior
+    length m from n down, then the ell bubble totals in lexicographic order."""
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and at least one marking")
     return [
         StratumProfile(m, nu)
         for m in range(n, -1, -1)
-        for totals in weak_compositions(n - m, ell)
+        for totals in reversed(monomial_exponents(ell, n - m))
         for nu in product(*map(compositions, totals))
     ]
 

@@ -472,8 +472,8 @@ def test_classes_above_the_dimension_need_not_vanish():
 
 def test_monomial_exponents_without_variables():
     # one empty monomial in degree 0 and none above: the ring Z itself
-    assert chow.monomial_exponents(0, 0) == [()]
-    assert chow.monomial_exponents(0, 2) == []
+    assert poly.monomial_exponents(0, 0) == [()]
+    assert poly.monomial_exponents(0, 2) == []
     pres = GradedPresentation(BaseRing.integers(), (), (MultiPoly.const(3),), 0)
     assert [graded_group(pres, k) for k in range(3)] == [
         GradedPiece(0, 0, (3,)), GradedPiece(1, 0), GradedPiece(2, 0)
@@ -626,7 +626,7 @@ def membership_cases(draw):
     if not image.is_zero():
         # lifted to the drawn degree by a monomial: still in the ideal
         shift = draw(st.sampled_from(
-            chow.monomial_exponents(len(variables), degree - image.degree())
+            poly.monomial_exponents(len(variables), degree - image.degree())
         ))
         image = image * MultiPoly(variables, {shift: 1})
     basis, rows = dense_relation_rows(sr, degree)
@@ -748,7 +748,7 @@ def small_presentations(draw):
             relations.append(MultiPoly.const(draw(st.sampled_from((2, 3, -4, 6)))))
             continue
         degree = 2 if kind == "quadratic" else 1
-        basis = chow.monomial_exponents(len(names), degree)
+        basis = poly.monomial_exponents(len(names), degree)
         size = len(basis)
         coefficients = draw(st.lists(coefficient, min_size=size, max_size=size))
         if kind == "linear":

@@ -626,15 +626,37 @@ def test_motive_and_strata_cap_the_profiles_by_markings(capsys, monkeypatch):
     code, out, err = run(capsys, "motive", "--ell", "6", "--N", "12")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (
-        "error: motive: N = 12 with ell = 6 enumerates 4243200 profiles, above the"
-        " safety cap 212992 of N = 12 with ell = 3 (pass --force to override)\n"
+        "error: motive: N = 12 with ell = 6 fills 25459200 composition slots, above"
+        " the safety cap 638976 of N = 12 with ell = 3 (pass --force to override)\n"
     )
     code, out, err = run(capsys, "strata", "--n", "9", "--ell", "6")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (
-        "error: strata: n = 9 with ell = 6 enumerates 134048 profiles, above the"
-        " safety cap 120832 of n = 12 with ell = 3 (pass --force to override)\n"
+        "error: strata: n = 9 with ell = 6 fills 804288 composition slots, above"
+        " the safety cap 362496 of n = 12 with ell = 3 (pass --force to override)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("strata", "--n", "2", "--ell", "400"),
+        ("strata", "--n", "2", "--ell", "89"),
+        ("motive", "--N", "2", "--ell", "400"),
+        ("motive", "--ell", "6", "--N", "9"),
+    ],
+    ids=" ".join,
+)
+def test_many_markings_are_refused_before_computing(capsys, monkeypatch, argv):
+    # few profiles, but each walks ell compositions: the cap counts the slots
+    def computed(*args):
+        raise AssertionError("computed past the composition-slot cap")
+
+    monkeypatch.setattr(cli, "closed_form", computed)
+    monkeypatch.setattr(cli, "enumerate_profiles", computed)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "composition slots, above the safety cap" in err
 
 
 class Computed(Exception):
@@ -645,7 +667,8 @@ class Computed(Exception):
     "argv",
     [
         ("motive", "--ell", "3", "--N", "12"),
-        ("motive", "--ell", "6", "--N", "9"),
+        ("motive", "--ell", "6", "--N", "8"),
+        ("strata", "--n", "2", "--ell", "88"),
         ("motive", "--mode", "hodge", "--g", "1", "--ell", "2", "--N", "10"),
         ("strata", "--n", "12", "--ell", "3"),
         ("strata", "--n", "8", "--ell", "5"),

@@ -137,7 +137,7 @@ def test_minimal_cone():
 def test_star_subdivide_noop_at_existing_ray():
     # a one-ray centre is that ray
     fan = projective_fan(2)
-    assert star_subdivide(fan, [("sigma_1", 1)]) is fan
+    assert star_subdivide(fan, [("sigma_1", 1)], "unused") is fan
     assert star_subdivide(fan, [("tau", 3)], label="unused") is fan
 
 
@@ -147,9 +147,24 @@ def test_star_subdivide_interior_point():
     assert fan.census() == (1, 4, 4)
     assert fan.is_complete()
     assert fan.check_intersections_are_faces()
-    unnamed = star_subdivide(projective_fan(2), [("sigma_2", 1), ("tau", 2)])
-    assert unnamed.rays[-1] == Ray("ray_3", (-2, -1))
-    assert_cone_dets_match_det(unnamed)
+    weighted = star_subdivide(projective_fan(2), [("sigma_2", 1), ("tau", 2)], "v")
+    assert weighted.rays[-1] == Ray("v", (-2, -1))
+    assert_cone_dets_match_det(weighted)
+
+
+def test_star_subdivide_needs_a_label():
+    with pytest.raises(TypeError):
+        star_subdivide(projective_fan(2), [("sigma_1", 1), ("sigma_2", 1)])
+
+
+def test_ray_labels_are_distinct():
+    # a later centre naming tau would not know which ray it meant
+    with pytest.raises(FanError, match="^two rays are labelled tau$"):
+        star_subdivide(projective_fan(2), [("sigma_1", 1), ("sigma_2", 1)], "tau")
+    rays = [Ray("a", (1, 0)), Ray("a", (0, 1)), Ray("c", (-1, -1))]
+    cones = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
+    with pytest.raises(FanError, match="^two rays are labelled a$"):
+        StackyFan(2, rays, cones)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +216,7 @@ def test_star_subdivide_interior_point():
 )
 def test_star_subdivide_refusals(base, centre, message):
     with pytest.raises(FanError) as refused:
-        star_subdivide(base, centre)
+        star_subdivide(base, centre, "new")
     assert str(refused.value) == message
 
 
@@ -593,7 +608,7 @@ def subdivided_projective_fans(draw):
     and drawn past."""
     dim = draw(st.integers(min_value=1, max_value=4))
     fan = projective_fan(dim)
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    for step in range(draw(st.integers(min_value=1, max_value=4))):
         if draw(st.booleans()):
             v = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
             if not any(v):
@@ -610,9 +625,9 @@ def subdivided_projective_fans(draw):
         centre = [(fan.rays[i].label, w) for i, w in weights.items()]
         if len(weights) > 1 and gcd(*total) > 1:
             with pytest.raises(FanError, match="not primitive"):
-                star_subdivide(fan, centre)
+                star_subdivide(fan, centre, f"new_{step}")
             continue
-        subdivided = star_subdivide(fan, centre)
+        subdivided = star_subdivide(fan, centre, f"new_{step}")
         if len(weights) > 1:
             # the new ray is the weighted sum itself
             assert subdivided.rays[-1].vector == total
@@ -636,7 +651,9 @@ def test_star_subdivide_computes_no_determinant(monkeypatch):
         return linalg.det(m)
 
     monkeypatch.setattr(fan_module, "det", counted)
-    subdivided = star_subdivide(fan, [("sigma_1", 2), ("sigma_2", 3), ("sigma_3", 5)])
+    subdivided = star_subdivide(
+        fan, [("sigma_1", 2), ("sigma_2", 3), ("sigma_3", 5)], "new"
+    )
     assert calls == []
     assert len(subdivided.max_cones) == 6
     assert_cone_dets_match_det(subdivided)

@@ -2,6 +2,7 @@
 
 import operator
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,17 @@ from loghilb.poly import (
     TruncSeries,
     ONE,
     ZERO,
+    monomial_exponents,
 )
+
+
+def test_monomial_exponents_descend_lexicographically():
+    # every vector of nvars entries summing to degree, largest first
+    for nvars in range(5):
+        for degree in range(6):
+            vectors = [e for e in product(range(degree + 1), repeat=nvars)
+                       if sum(e) == degree]
+            assert monomial_exponents(nvars, degree) == sorted(vectors, reverse=True)
 
 
 def series_from_poly(p: MultiPoly, order: int) -> TruncSeries:

@@ -1,11 +1,12 @@
 """Tests for the stratification oracle and generating functions."""
 
 from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loghilb.poly import MultiPoly, TruncSeries
+from loghilb.poly import MultiPoly, TruncSeries, monomial_exponents
 from loghilb.strata import (
     MOTIVIC_P1,
     ProfileError,
@@ -22,7 +23,6 @@ from loghilb.strata import (
     strata_classes,
     strata_sum,
     stratum_class,
-    weak_compositions,
 )
 
 
@@ -109,9 +109,27 @@ def test_enumerate_profiles_counts():
     assert all(p.total == 3 for p in profiles)
 
 
+def recursive_compositions(total):
+    """The recursive enumeration ``compositions`` replaced: first part
+    ascending, then sorted by length and entries."""
+    if total == 0:
+        return [()]
+    out = [
+        (first,) + rest
+        for first in range(1, total + 1)
+        for rest in recursive_compositions(total - first)
+    ]
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+def test_compositions_keep_the_recursive_order():
+    for total in range(13):
+        assert list(compositions(total)) == recursive_compositions(total)
+
+
 def recursive_splits(total, parts):
-    """The recursive enumeration that ``weak_compositions`` replaced: first
-    part ascending, then the rest in the same order."""
+    """The recursive enumeration of profile totals before stars and bars:
+    first part ascending, then the rest in the same order."""
     if parts == 1:
         return [(total,)]
     return [
@@ -121,13 +139,40 @@ def recursive_splits(total, parts):
     ]
 
 
+def stars_and_bars(total, parts):
+    """The enumeration of profile totals that ``monomial_exponents`` replaced:
+    one combination of parts - 1 bar positions among total + parts - 1 slots
+    each, in lexicographic order."""
+    slots = total + parts - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        for bars in combinations(range(slots), parts - 1)
+    ]
+
+
 def test_weak_compositions_keep_the_recursive_order():
+    # the profile totals are the exponent vectors of poly, reversed
     for total in range(7):
         for parts in range(1, 7):
-            assert weak_compositions(total, parts) == recursive_splits(total, parts)
+            totals = list(reversed(monomial_exponents(parts, total)))
+            assert totals == stars_and_bars(total, parts)
+            assert totals == recursive_splits(total, parts)
     # no recursion: one part per marking, far past the recursion limit
-    wide = weak_compositions(1, 2000)
+    wide = list(reversed(monomial_exponents(2000, 1)))
+    assert wide == stars_and_bars(1, 2000)
     assert len(wide) == 2000 and wide[0] == (0,) * 1999 + (1,)
+
+
+def test_profiles_keep_their_order():
+    # interior length descending, then totals and compositions as the oracles
+    for n, ell in [(n, ell) for n in range(7) for ell in range(1, 5)] + [(1, 600)]:
+        expected = [
+            StratumProfile(m, nu)
+            for m in range(n, -1, -1)
+            for totals in stars_and_bars(n - m, ell)
+            for nu in product(*(recursive_compositions(k) for k in totals))
+        ]
+        assert enumerate_profiles(n, ell) == expected
 
 
 def test_profile_count_counts_without_enumerating():
