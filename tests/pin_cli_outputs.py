@@ -10,10 +10,10 @@ record which lines changed:
 
 The grid covers ``fan`` for n <= 5 with one and two markings and with
 ``--census``; every ``chow`` subcommand and flag for n <= 4; ``motive`` in all
-four modes for N <= 6; ``strata`` with and without ``--profile``; refusals of
-each command; and the three formats.  The refusals are those ``main`` writes
-itself: an argparse refusal prints a usage text wrapped to the terminal's
-width, so it is left out.
+four modes for N <= 6; ``strata`` with and without ``--profile``; ``fan`` and
+``chow`` at their size caps; refusals of each command; and the three
+formats.  The refusals are those ``main`` writes itself: an argparse refusal
+prints a usage text wrapped to the terminal's width, so it is left out.
 """
 
 import contextlib
@@ -72,6 +72,15 @@ def _strata() -> Iterator[List[str]]:
         yield ["strata", "--n", str(n), "--ell", str(ell), "--profile", profile]
 
 
+# at the size caps, in text format only
+LARGE = [
+    ["fan", "--n", "9", "--i", "1"],
+    ["fan", "--n", "9", "--i", "1", "--markings", "0+inf"],
+    ["chow", "sr", "--n", "7", "--i", "1", "--groups"],
+    ["chow", "thmD", "--n", "7", "--i", "0", "--curve", "symbolic", "--ell", "3"],
+]
+
+
 # each refused by ``main`` with exit code 2 and one line on stderr
 REFUSALS = [
     ["fan", "--n", "10", "--i", "1"],
@@ -103,14 +112,14 @@ REFUSALS = [
 
 def grid() -> List[List[str]]:
     """Every pinned command line: each computed one in text format, the
-    small ones also in json and csv, and the refusals."""
+    small ones also in json and csv, the large ones, and the refusals."""
     lines = []
     for argv in (*_fan(), *_chow(), *_motive(), *_strata()):
         lines.append(argv)
         if argv[argv.index("--n" if "--n" in argv else "--N") + 1] in ("1", "2"):
             lines.append(argv + ["--format", "json"])
             lines.append(argv + ["--format", "csv"])
-    return lines + REFUSALS
+    return lines + LARGE + REFUSALS
 
 
 def replay(argv: List[str]) -> Tuple[int, str, str]:
