@@ -5,7 +5,8 @@ of points on the line are implemented:
 
 * the Stanley-Reisner presentation read off a complete simplicial fan
   (linear relations from the lattice characters plus the squarefree
-  monomials on minimal non-faces), and
+  monomials on the minimal non-faces that ``fan.minimal_nonfaces`` finds),
+  and
 * the blow-up presentation over the symmetric power, built either in one
   shot from the explicit Q-polynomial relation families or step by step
   by adjoining one exceptional-divisor generator per weighted blow-up.
@@ -29,12 +30,11 @@ ring, whose integral groups above it can carry torsion on a stacky fan
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .fan import StackyFan, blowup_centre, blowup_levels
+from .fan import StackyFan, blowup_centre, blowup_levels, minimal_nonfaces
 from .linalg import ReducedForm, reduced_form
 from .poly import Exponent, MultiPoly, ZERO, monomial_exponents
 from .strata import StratumProfile
@@ -160,21 +160,6 @@ class GradedPiece(NamedTuple):
 # Stanley-Reisner presentations
 
 
-def minimal_nonfaces(fan: StackyFan) -> List[Tuple[int, ...]]:
-    """Minimal ray subsets spanning no cone of the fan."""
-    faces = fan.face_masks()
-    nrays = len(fan.rays)
-    out: List[Tuple[int, ...]] = []
-    for size in range(2, fan.dim + 2):
-        for subset in itertools.combinations(range(nrays), size):
-            mask = sum(1 << i for i in subset)
-            if mask in faces:
-                continue
-            if all(mask ^ (1 << i) in faces for i in subset):
-                out.append(subset)
-    return out
-
-
 def sr_presentation(fan: StackyFan) -> GradedPresentation:
     """Stanley-Reisner presentation of a complete simplicial stacky fan.
 
@@ -207,18 +192,13 @@ def _check_in_ring(p: MultiPoly, var_order: Sequence[str]) -> None:
             raise PresentationError(f"relation variable {v!r} not in the ring")
 
 
-def _embed_terms(p: MultiPoly, var_order: Sequence[str]) -> Dict[Exponent, int]:
-    _check_in_ring(p, var_order)
-    return p.embedded(var_order)
-
-
 def _relation_rows(
     variables: Sequence[str], relations: Sequence[MultiPoly], degree: int
 ) -> Tuple[Dict[Exponent, int], List[Dict[int, int]]]:
     """Degree-k monomial basis as {exponent: position}, in basis order, and
     the (relation x monomial) rows of the relation matrix, each a sparse map
     {basis position: coefficient}.  ``_solved`` screens the relations: each
-    is nonzero and homogeneous."""
+    is nonzero, homogeneous and in the ring."""
     basis = monomial_exponents(len(variables), degree)
     index = {exp: i for i, exp in enumerate(basis)}
     rows: List[Dict[int, int]] = []
@@ -226,7 +206,7 @@ def _relation_rows(
         d = rel.degree()
         if d > degree:
             continue
-        embedded = _embed_terms(rel, variables)
+        embedded = rel.embedded(variables)
         for shift in monomial_exponents(len(variables), degree - d):
             rows.append(
                 {
@@ -337,10 +317,9 @@ def ideal_residue(pres: GradedPresentation, poly: MultiPoly) -> MultiPoly:
         raise PresentationError("membership check needs a homogeneous polynomial")
     reduced, substitution = _solved(pres)
     image = poly.specialize(substitution)
+    _check_in_ring(image, reduced.variables())
     basis, index, form = _reduced(pres, poly.degree())
-    target = {
-        index[exp]: c for exp, c in _embed_terms(image, reduced.variables()).items()
-    }
+    target = {index[exp]: c for exp, c in image.embedded(reduced.variables()).items()}
     return _row_poly(reduced.variables(), basis, form.residue(target))
 
 
@@ -484,8 +463,6 @@ def keel_step(
     for g in list(ker_gens) + [q]:
         if not g.is_homogeneous():
             raise PresentationError("kernel generators and Q must be homogeneous")
-    if new_name in pres.variables():
-        raise PresentationError(f"generator {new_name!r} already present")
     t = MultiPoly.var(new_name)
     new_rels = tuple(g * t for g in ker_gens if not g.is_zero()) + (q,)
     return GradedPresentation(

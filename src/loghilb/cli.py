@@ -12,10 +12,10 @@ holds the verdict of each cross-check the command ran, by name.  ``main``
 writes the output once and returns the exit code: 0 for success, 2 for
 invalid parameters (an argument a parser cannot read, refused with the usage
 of the parser that meets it and ``loghilb [<command>]: error: unrecognized
-arguments``; an ``n`` above its size cap without ``--force``;
-and an ``--output`` path that cannot be written, which is checked before
-computing), 3 when any entry of ``checks`` is false.  Any other error is
-internal and exits 1 with a traceback.
+arguments``; an ``n``, or a job's slots, above its size cap without
+``--force``; and an ``--output`` path that cannot be written, which is
+checked before computing), 3 when any entry of ``checks`` is false.  Any
+other error is internal and exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .chow import (
     stratum_cycle_class,
     thmD_presentation,
 )
-from .fan import fan_motive, hilb_fan, hilb_fan_two_sided, is_palindromic
+from .fan import blowup_levels, fan_motive, hilb_fan, hilb_fan_two_sided, is_palindromic
 from .poly import MultiPoly
 from .strata import (
     MOTIVIC_P1,
@@ -64,11 +64,17 @@ EXIT_CHECK_FAILED = 3
 # size caps, which only --force lifts, set from single runs on a shared 2-core
 # machine with Python 3.11 (README "Size caps" gives the runs and their times).
 # Graded groups are computed only over the p1 base, which takes one marking
-# (only thmD reads --ell), so MAX_N_GROUPS bounds every graded job; motive and
-# strata also bound the composition slots their oracle fills (``_check_series``).
+# (only thmD reads --ell), so MAX_N_GROUPS bounds every graded job.  Without
+# --force, motive and strata also bound the composition slots their oracle
+# fills, and thmD over the symbolic curve the relation slots of its markings
+# (``_check_series``).
 MAX_N_FAN = 9
 MAX_N_GROUPS = 7
 MAX_N_MOTIVE = 12
+
+
+# the slots a job fills for each marking, as a function of its size and ell
+Count = Callable[[int, int], int]
 
 
 class UsageError(ValueError):
@@ -98,20 +104,25 @@ def _check_size(args: argparse.Namespace, what: str, cap: int) -> None:
 
 
 def _check_series(
-    args: argparse.Namespace, what: str, flag: str, n: int, count: Callable[[int, int], int]
+    args: argparse.Namespace, what: str, flag: str, n: int, count: Count,
+    largest: Optional[Count] = None, top: int = MAX_N_MOTIVE, unit: str = "composition",
 ) -> None:
-    """The refusals motive and strata share: ``n`` (``N`` for motive) within
-    MAX_N_MOTIVE, at least one marking, and, without --force, no more
-    composition slots for the oracle to fill (``count(n, ell)`` profiles of
-    ell compositions each) than at MAX_N_MOTIVE with three markings."""
-    _check_cap(n, MAX_N_MOTIVE, what, args.force, flag)
+    """The refusals of the commands that take markings: at least one, and,
+    without --force, no more slots to fill (``count(n, ell)`` for each of
+    ell markings) than the largest job at ``{flag} = top`` with three
+    markings fills (``largest(top, 3)`` each; ``largest`` is ``count``
+    unless the job is smaller than the largest of its size).  --force skips
+    the count."""
     if args.ell < 1:
         raise UsageError(f"{what}: need at least one marking")
-    cap, wanted = count(MAX_N_MOTIVE, 3) * 3, count(n, args.ell) * args.ell
-    if wanted > cap and not args.force:
+    if args.force:
+        return
+    cap = (largest or count)(top, 3) * 3
+    wanted = count(n, args.ell) * args.ell
+    if wanted > cap:
         raise UsageError(
-            f"{what}: {flag} = {n} with ell = {args.ell} fills {wanted} composition"
-            f" slots, above the safety cap {cap} of {flag} = {MAX_N_MOTIVE} with ell = 3"
+            f"{what}: {flag} = {n} with ell = {args.ell} fills {wanted} {unit}"
+            f" slots, above the safety cap {cap} of {flag} = {top} with ell = 3"
             " (pass --force to override)"
         )
 
@@ -256,10 +267,17 @@ def _chow_sr(args: argparse.Namespace) -> Result:
 
 def _chow_thmD(args: argparse.Namespace) -> Result:
     """blow-up presentation, all centres at once"""
-    if args.ell < 1:
-        raise UsageError("chow thmD: need at least one marking")
-    if args.curve == "p1" and args.ell != 1:
+    if args.curve == "p1" and args.ell > 1:
         raise UsageError("chow: the p1 base supports a single marking")
+
+    def slots(n: int, i: int) -> int:
+        # a marking fills one slot, and one per relation: n - j + 2 at level j
+        return 1 + sum(n - j + 2 for j in blowup_levels(n, i))
+
+    _check_series(
+        args, "chow thmD", "n", args.n, lambda n, ell: slots(n, args.i),
+        largest=lambda n, ell: slots(n, 0), top=MAX_N_GROUPS, unit="relation",
+    )
     if args.curve == "symbolic" and (args.groups or args.compare_sr):
         raise UsageError("chow thmD: --groups and --compare-sr need --curve p1")
     base = BaseRing.p1(args.n) if args.curve == "p1" else BaseRing.symbolic(args.ell)
@@ -369,6 +387,7 @@ def _chow_compare(args: argparse.Namespace) -> Result:
 
 
 def cmd_motive(args: argparse.Namespace) -> Result:
+    _check_cap(args.N, MAX_N_MOTIVE, "motive", args.force, "N")
     # the oracle enumerates the profiles of every size up to N
     _check_series(
         args, "motive", "N", args.N,
@@ -402,7 +421,11 @@ def cmd_motive(args: argparse.Namespace) -> Result:
 
 
 def cmd_strata(args: argparse.Namespace) -> Result:
-    _check_series(args, "strata", "n", args.n, profile_count)
+    # one --profile fills ell slots, but the interior series is still
+    # expanded to order n
+    _check_cap(args.n, MAX_N_MOTIVE, "strata", args.force)
+    count = profile_count if args.profile is None else (lambda n, ell: 1)
+    _check_series(args, "strata", "n", args.n, count, largest=profile_count)
     mode = MOTIVIC_P1
     if args.profile is not None:
         try:
@@ -542,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _check_output(args.output)
         payload, rows = args.func(args)
         _emit(payload, rows, args)
-    except (UsageError, ProfileError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if all(payload["checks"].values()) else EXIT_CHECK_FAILED

@@ -5,11 +5,13 @@ subdivisions that model the toric degrees of freedom of length-n
 subschemes on the line relative to one or both toric fixed points.  All
 ray generators are stored primitive, so no extra stacky data is carried.
 
-Each subdivision is a weighted blow-up at a centre: a cone with a positive
-weight on each of its rays.  ``blowup_centre`` states every level's centre.
+Each subdivision is a weighted blow-up at a centre: a cone of two or more
+rays with a positive weight on each.  ``blowup_centre`` states every level's centre.
 
 Cones are stored via their maximal cones only, each with the determinant
-of its rays; faces are derived on demand, as bitmasks over ray indices.
+of its rays; faces are derived on demand, as bitmasks over ray indices, and
+so are the minimal non-faces (``minimal_nonfaces``), which the
+Stanley-Reisner ring reads; no other module encodes a face as a bitmask.
 A star subdivision derives its new cones' determinants from the weights,
 with no solve and no memo.  Fans are immutable values and all operations
 are pure.
@@ -17,6 +19,7 @@ are pure.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -257,25 +260,6 @@ class StackyFan:
                     return False
         return True
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StackyFan):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        mine = frozenset(
-            frozenset(self.rays[i].vector for i in cone) for cone in self.max_cones
-        )
-        theirs = frozenset(
-            frozenset(other.rays[i].vector for i in cone) for cone in other.max_cones
-        )
-        return (
-            {r.vector for r in self.rays} == {r.vector for r in other.rays}
-            and mine == theirs
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(r.vector for r in self.rays)))
-
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -286,6 +270,21 @@ class StackyFan:
             ],
             "max_cones": [sorted(c) for c in self.max_cones],
         }
+
+
+def minimal_nonfaces(fan: StackyFan) -> List[Tuple[int, ...]]:
+    """Minimal ray subsets spanning no cone of the fan."""
+    faces = fan.face_masks()
+    nrays = len(fan.rays)
+    out: List[Tuple[int, ...]] = []
+    for size in range(2, fan.dim + 2):
+        for subset in itertools.combinations(range(nrays), size):
+            mask = sum(1 << i for i in subset)
+            if mask in faces:
+                continue
+            if all(mask ^ (1 << i) in faces for i in subset):
+                out.append(subset)
+    return out
 
 
 def projective_fan(n: int) -> StackyFan:
@@ -313,8 +312,9 @@ def star_subdivide(
     of a primitive vector is a stacky generator, and the fan on its primitive
     vector is a different stack from the weighted blow-up.  Each maximal cone
     C holding the centre gives way to ``(C - {r}) + {v}`` for each centre ray
-    r; kept cones keep their determinants.  A one-ray centre is a silent
-    no-op: the modification of the moduli problem is an isomorphism.
+    r; kept cones keep their determinants.  A one-ray centre is refused: it
+    divides no cone, and its weighted blow-up is a root stack at weight w > 1
+    (the identity at w = 1), which ``blowup_levels`` never asks for.
 
     As v is ``w_r * u_r`` plus rays of F = C - {r}, the new cone has
     det(F + [v]) = det(F + [r]) * w_r: no solve and no determinant is computed.
@@ -331,7 +331,7 @@ def star_subdivide(
     if not weights:
         raise FanError("the centre names no ray")
     if len(weights) == 1:
-        return fan
+        raise FanError(f"centre {names} is one ray; a star subdivision needs two or more")
     if not any(weights.keys() <= cone for cone in fan.max_cones):
         raise FanError(f"centre {names} lies in no maximal cone")
     total = [0] * fan.dim

@@ -72,12 +72,13 @@ def _strata() -> Iterator[List[str]]:
         yield ["strata", "--n", str(n), "--ell", str(ell), "--profile", profile]
 
 
-# at the size caps, in text format only
+# at the size caps, or with many markings, in text format only
 LARGE = [
     ["fan", "--n", "9", "--i", "1"],
     ["fan", "--n", "9", "--i", "1", "--markings", "0+inf"],
     ["chow", "sr", "--n", "7", "--i", "1", "--groups"],
     ["chow", "thmD", "--n", "7", "--i", "0", "--curve", "symbolic", "--ell", "3"],
+    ["strata", "--n", "1", "--ell", "700", "--profile", "1" + ";()" * 700],
 ]
 
 
@@ -94,6 +95,9 @@ REFUSALS = [
     ["chow", "thmD", "--n", "3", "--i", "1", "--ell", "0"],
     ["chow", "thmD", "--n", "3", "--i", "1", "--curve", "symbolic", "--groups"],
     ["chow", "compare", "--n", "-1", "--i", "0"],
+    ["chow", "thmD", "--n", "7", "--i", "0", "--curve", "symbolic", "--ell", "4"],
+    ["chow", "thmD", "--n", "2", "--i", "0", "--curve", "symbolic", "--ell", "20000"],
+    ["chow", "thmD", "--n", "1", "--i", "0", "--curve", "symbolic", "--ell", "2000000"],
     ["motive", "--N", "13"],
     ["motive", "--N", "-1"],
     ["motive", "--ell", "0", "--N", "3"],

@@ -409,8 +409,11 @@ def test_keel_step_validation():
     with pytest.raises(PresentationError):
         keel_step(pres, [H + 1], H ** 2, "e")  # inhomogeneous kernel
     stepped = keel_step(pres, [H], q_polynomial(2, 2, "e"), "e")
-    with pytest.raises(PresentationError):
-        keel_step(stepped, [H], H, "e")  # duplicate generator
+    # the presentation it builds refuses a name already in the ring
+    with pytest.raises(PresentationError, match="^duplicate generator names$"):
+        keel_step(stepped, [H], H, "e")
+    with pytest.raises(PresentationError, match="^generator name clashes with the base"):
+        keel_step(pres, [H], H, "H")
 
 
 def test_each_marking_needs_a_divisor_of_the_base():
@@ -436,6 +439,14 @@ def test_graded_computations_refuse_names_outside_the_ring():
         assert str(caught.value) == "relation variable 'c1L_1' not in the ring"
     with pytest.raises(PresentationError, match="not in the ring"):
         ideal_member(pres, eps(3))
+
+
+def test_membership_refuses_a_query_outside_the_ring():
+    # the ring is fine, so only the query's own screen in ideal_residue refuses
+    pres = sr_presentation(hilb_fan(2, 1))
+    with pytest.raises(PresentationError) as caught:
+        ideal_member(pres, MultiPoly.var("x") * MultiPoly.var("tau"))
+    assert str(caught.value) == "relation variable 'x' not in the ring"
 
 
 def test_symbolic_two_markings_structure():
@@ -671,7 +682,7 @@ def test_ideal_member_matches_unreduced_oracle(case):
     basis, rows = dense_relation_rows(pres, poly.degree())
     index = {exp: k for k, exp in enumerate(basis)}
     target = [0] * len(basis)
-    for exp, c in chow._embed_terms(poly, pres.variables()).items():
+    for exp, c in poly.embedded(pres.variables()).items():
         target[index[exp]] = c
     expected = in_row_span_z(rows, target)
     # blow-up relation images lie in the SR ideal for n <= 3, so members stay members

@@ -472,6 +472,17 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
         main(["chow", "sr", "--n", "2", "--i", "1", "--groups"])
 
 
+def test_profile_error_past_the_refusals_is_internal(monkeypatch):
+    # cmd_strata turns every ProfileError of its input into a usage error, so
+    # one that reaches main is a fault: it propagates (exit 1, a traceback)
+    def broken(*args):
+        raise strata.ProfileError("internal fault")
+
+    monkeypatch.setattr(cli, "strata_classes", broken)
+    with pytest.raises(strata.ProfileError, match="internal fault"):
+        main(["strata", "--n", "3", "--ell", "2"])
+
+
 def test_fan_error_is_an_internal_error():
     # parameters are validated before a fan is built, so a FanError is a bug:
     # exit 1 with a traceback, not the failed-check code 3
@@ -685,6 +696,75 @@ def test_profile_cap_lets_through(monkeypatch, argv):
     monkeypatch.setattr(cli, "enumerate_profiles", computed)
     with pytest.raises(Computed):
         main(list(argv))
+
+
+def test_symbolic_markings_are_capped_before_computing(capsys, monkeypatch):
+    # at n = 7, i = 0 a marking fills 28 relation slots; three fill the cap
+    def computed(*args):
+        raise Computed
+
+    monkeypatch.setattr(cli, "thmD_presentation", computed)
+    argv = ["chow", "thmD", "--n", "7", "--i", "0", "--curve", "symbolic", "--ell"]
+    with pytest.raises(Computed):
+        main(argv + ["3"])
+    code, out, err = run(capsys, *argv, "4")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: chow thmD: n = 7 with ell = 4 fills 112 relation slots, above the"
+        " safety cap 84 of n = 7 with ell = 3 (pass --force to override)\n"
+    )
+    with pytest.raises(Computed):
+        main(argv + ["4", "--force"])
+
+
+def test_symbolic_marking_cap_counts_the_relations(capsys, monkeypatch):
+    # a marking fills one slot and one per relation it adds to the presentation
+    symbolic = chow.BaseRing.symbolic(1)
+    sizes = {
+        (n, i): 1 + len(chow.thmD_presentation(n, [i], symbolic).relations)
+        for n in range(1, 8)
+        for i in range(n + 1)
+    }
+    assert sizes[7, 0] * 3 == 84
+
+    def computed(*args):
+        raise Computed
+
+    monkeypatch.setattr(cli, "thmD_presentation", computed)
+    for (n, i), size in sizes.items():
+        most = 84 // size
+        argv = ["chow", "thmD", "--n", str(n), "--i", str(i), "--curve", "symbolic"]
+        with pytest.raises(Computed):
+            main(argv + ["--ell", str(most)])
+        assert main(argv + ["--ell", str(most + 1)]) == EXIT_USAGE
+    assert "fills 85 relation slots" in capsys.readouterr().err
+
+
+def test_one_profile_fills_ell_slots(capsys, monkeypatch):
+    # with --profile the cap counts one profile, so ell may reach the 362496
+    # slots of n = 12 with three markings whatever n is
+    def computed(*args):
+        raise Computed
+
+    monkeypatch.setattr(cli, "parse_profile", computed)
+    argv = ["strata", "--n", "12", "--profile", "12;()", "--ell"]
+    with pytest.raises(Computed):
+        main(argv + ["362496"])
+    code, out, err = run(capsys, *argv, "362497")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: strata: n = 12 with ell = 362497 fills 362497 composition slots,"
+        " above the safety cap 362496 of n = 12 with ell = 3"
+        " (pass --force to override)\n"
+    )
+
+
+def test_one_profile_keeps_the_size_cap(capsys):
+    code, out, err = run(capsys, "strata", "--n", "13", "--ell", "1", "--profile", "13;()")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: strata: n = 13 exceeds the safety cap 12 (pass --force to override)\n"
+    )
 
 
 def test_exit_code_constants():
