@@ -50,7 +50,6 @@ from .strata import (
     enumerate_profiles,
     parse_profile,
     profile_count,
-    stabilizer_bounds,
     strata_classes,
     strata_sum,
 )
@@ -451,7 +450,6 @@ def cmd_strata(args: argparse.Namespace) -> Result:
                     "class": cls.to_string(),
                     "codimension": profile.codimension,
                     "cycle_class": stratum_cycle_class(profile, args.n).to_string(),
-                    "stabilizer_bounds": _words(stabilizer_bounds(profile)),
                 }
             )
             yield cls

@@ -214,11 +214,6 @@ def strata_sum(n: int, ell: int, mode: ZetaMode) -> MultiPoly:
     return MultiPoly.sum(cls for _, cls in classes)
 
 
-def stabilizer_bounds(profile: StratumProfile) -> List[int]:
-    """Maximal cyclic stabilizer order contributed by each bubble, in order."""
-    return [part for comp in profile.nu for part in comp]
-
-
 def parse_profile(text: str) -> StratumProfile:
     """Parse the CLI profile syntax ``m;(a,b,...);();(c)``."""
     pieces = text.split(";")

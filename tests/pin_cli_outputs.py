@@ -4,7 +4,8 @@ The file maps each command line of ``GRID`` to the sha256 of its exit code,
 stdout and stderr, run through ``cli.main`` in this process.
 ``test_cli_outputs.py`` replays the grid and names every line whose digest
 changed.  Rewrite the file only when a change of output is intended, and
-record which lines changed:
+record which lines changed; the script prints each line whose digest
+changed, was added or was dropped:
 
     PYTHONPATH=src python3 tests/pin_cli_outputs.py
 
@@ -144,6 +145,21 @@ def pins() -> dict:
     return {shlex.join(argv): digest(argv) for argv in grid()}
 
 
+def changes(old: dict, new: dict) -> List[str]:
+    """One line per command line whose digest changed, was added or was
+    dropped between two pin maps, in the order of ``new`` then ``old``."""
+    lines = [
+        f"changed {line} ({old[line][:8]}… → {new[line][:8]}…)"
+        if line in old else f"added {line} ({new[line][:8]}…)"
+        for line in new
+        if old.get(line) != new[line]
+    ]
+    return lines + [f"dropped {line} ({old[line][:8]}…)" for line in old if line not in new]
+
+
 if __name__ == "__main__":
-    PINNED.write_text(json.dumps(pins(), indent=1) + "\n", encoding="utf-8")
+    old = json.loads(PINNED.read_text(encoding="utf-8")) if PINNED.exists() else {}
+    new = pins()
+    PINNED.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
+    print(*changes(old, new), sep="\n")
     print(f"wrote {PINNED}")

@@ -29,7 +29,7 @@ from loghilb.chow import (
     stratum_cycle_class,
     thmD_presentation,
 )
-from loghilb.fan import FanError, Ray, fan_motive, hilb_fan
+from loghilb.fan import FanError, Ray, fan_motive, hilb_fan, hilb_fan_two_sided
 from loghilb.linalg import in_row_span_z, invariant_factors
 from loghilb.poly import MultiPoly, ZERO
 from loghilb.strata import (
@@ -545,6 +545,30 @@ def test_cycle_class_matches_per_bubble_oracle(ell):
             cls = stratum_cycle_class(profile, n)
             assert cls == per_bubble_cycle_class(profile, n)
             assert cls.degree() == profile.codimension
+
+
+def cycle_class_rays(cls, n):
+    """The rays a monomial cycle class names, one per factor, under
+    eps{j}_1 -> rho_j, eps1_1 -> sigma_n, eps{j}_2 -> rho_inf_j, eps1_2 -> tau."""
+    images = {eps_name(1, 1): f"sigma_{n}", eps_name(1, 2): "tau"}
+    for j in range(2, n + 1):
+        images[eps_name(j, 1)] = f"rho_{j}"
+        images[eps_name(j, 2)] = f"rho_inf_{j}"
+    [(exponents, coefficient)] = cls.terms.items()
+    assert coefficient == 1
+    return [images[name] for name, e in zip(cls.vars, exponents) for _ in range(e)]
+
+
+@pytest.mark.parametrize("ell, largest", [(1, 7), (2, 6)])
+def test_cycle_classes_name_cones_of_the_fan(ell, largest):
+    for n in range(1, largest + 1):
+        fan = hilb_fan(n, 1) if ell == 1 else hilb_fan_two_sided(n, 1, 1)
+        index = {ray.label: k for k, ray in enumerate(fan.rays)}
+        faces = fan.face_masks()
+        for profile in enumerate_profiles(n, ell):
+            rays = cycle_class_rays(stratum_cycle_class(profile, n), n)
+            assert len(set(rays)) == len(rays), profile
+            assert sum(1 << index[ray] for ray in rays) in faces, profile
 
 
 def test_cycle_class_makes_no_product(monkeypatch):

@@ -458,6 +458,44 @@ def test_two_sided_fan_motive_matches_series(n):
     assert fan_motive(fan) == expected
 
 
+# -- the paper's main theorem: the motive by the weighted blow-up formula ----
+
+
+@lru_cache(maxsize=None)
+def blowup_formula_motive(n, levels):
+    """M(n; i) = [P^n] + sum_r sum_j M(n - j; i') * (L + ... + L^(j-1)), the
+    motive by the weighted blow-up formula, stated without the fan.
+
+    ``levels`` holds the stability level i_r of each marking, in the order
+    they are blown up.  Marking r blows up levels j = n down to
+    max(i_r, 1) + 1, at the centre {D >= j p_r} = Sym^(n-j) P^1 with weights
+    1..j: its exceptional divisor adds a coarse [P^(j-1)] - 1 over the
+    centre.  On the centre, i'_q = min(i_q, n - j) for the markings blown up
+    before r, i'_r = 1, and i'_q = n - j (nothing yet) for those after it.
+    """
+    if n == 0:
+        return MultiPoly.const(1)
+    L = MultiPoly.var("L")
+    motive = MultiPoly.sum(L ** k for k in range(n + 1))
+    for r, i_r in enumerate(levels):
+        for j in range(n, max(i_r, 1), -1):
+            m = n - j
+            before = tuple(min(i_q, m) for i_q in levels[:r])
+            inner = before + (1,) + (m,) * (len(levels) - r - 1)
+            fibre = MultiPoly.sum(L ** k for k in range(1, j))
+            motive = motive + blowup_formula_motive(m, inner) * fibre
+    return motive
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fan_motive_is_the_weighted_blowup_formula(n):
+    for i in range(n + 1):
+        assert fan_motive(hilb_fan(n, i)) == blowup_formula_motive(n, (i,)), i
+        for k in range(n + 1):
+            expected = blowup_formula_motive(n, (i, k))
+            assert fan_motive(hilb_fan_two_sided(n, i, k)) == expected, (i, k)
+
+
 def test_two_sided_subdivision_order_independent():
     for n in (2, 3):
         fan = projective_fan(n)

@@ -19,7 +19,6 @@ from loghilb.strata import (
     interior_sym_coefficients,
     parse_profile,
     profile_count,
-    stabilizer_bounds,
     strata_classes,
     strata_sum,
     stratum_class,
@@ -396,12 +395,6 @@ def test_hodge_genus_two_symmetric_square():
     assert s.coeffs[1] == 1 - 2 * u - 2 * v + u * v
     # its Euler specialization u = v = 1 is 2 - 2g = -2
     assert s.coeffs[1].specialize({"u": 1, "v": 1}).constant_term() == -2
-
-
-def test_stabilizer_bounds():
-    assert stabilizer_bounds(parse_profile("0;(2)")) == [2]
-    assert stabilizer_bounds(parse_profile("1;(1,2);();(1)")) == [1, 2, 1]
-    assert stabilizer_bounds(parse_profile("3")) == []
 
 
 @settings(max_examples=30, deadline=None)
