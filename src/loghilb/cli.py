@@ -132,12 +132,16 @@ def _words(values) -> str:
 
 
 def _check_output(path: str) -> None:
-    """Before any computation, refuse an ``--output`` path that is a directory
-    or whose directory is missing or not writable, with the reason ``open``
-    would give; ``_emit`` reports any other failure to write."""
+    """Before any computation, refuse with ``open``'s reason an ``--output``
+    that is a directory, an unwritable file, or a new file in a missing or
+    unwritable directory; ``_emit`` reports any other failure to write."""
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
+    elif os.path.exists(path):  # opened, not created: the folder's mode is moot
+        if os.access(path, os.W_OK):
+            return
+        code = errno.EACCES
     elif not os.path.isdir(folder):
         code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
     elif not os.access(folder, os.W_OK | os.X_OK):

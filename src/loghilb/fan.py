@@ -29,6 +29,7 @@ from .poly import MultiPoly
 
 Vector = Tuple[int, ...]
 FacetMap = Mapping[FrozenSet[int], Tuple[int, ...]]
+FaceRecord = Tuple[FrozenSet[int], Tuple[int, ...], FacetMap]
 
 
 class FanError(ValueError):
@@ -69,15 +70,14 @@ class StackyFan:
     caller may pass them, as ``star_subdivide`` does; else each is computed.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "cone_dets", "_faces", "_facet_opposites")
+    __slots__ = ("dim", "rays", "max_cones", "cone_dets", "_faces")
 
     def __init__(self, dim: int, rays: Sequence[Ray], max_cones, cone_dets=None):
         self.dim = dim
         self.rays = tuple(rays)
         cones = [frozenset(c) for c in max_cones]
         self.max_cones = tuple(sorted(cones, key=lambda c: sorted(c)))
-        self._faces: Optional[Tuple[FrozenSet[int], Tuple[int, ...]]] = None
-        self._facet_opposites: Optional[FacetMap] = None
+        self._faces: Optional[FaceRecord] = None
         seen = set()
         for ray in self.rays:
             if len(ray.vector) != dim:
@@ -103,15 +103,18 @@ class StackyFan:
     def labels(self, cone) -> Tuple[str, ...]:
         return tuple(self.rays[i].label for i in sorted(cone))
 
-    def face_masks(self) -> FrozenSet[int]:
-        """Every cone as a bitmask over ray indices (bit i for ray i), the
-        origin (0) included, enumerated on the first call only."""
+    def _face_record(self) -> FaceRecord:
+        """The face masks, census and facet map, built on the first call only."""
         if self._faces is None:
-            self._faces = self._build_face_masks()
-        return self._faces[0]
+            self._faces = self._build_faces()
+        return self._faces
 
-    def _build_face_masks(self) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
-        """The face masks and the census: the size of each level below."""
+    def _build_faces(self) -> FaceRecord:
+        """The face masks, the size of each level and the facet map."""
+        opposites: Dict[FrozenSet[int], List[int]] = {}
+        for cone in self.max_cones:
+            for i in sorted(cone):
+                opposites.setdefault(cone - {i}, []).append(i)
         # level by level: the faces of size k are those of size k + 1 less
         # one bit, so each face joins ``faces`` once, not once per maximal cone
         faces, level = {0}, {sum(1 << i for i in cone) for cone in self.max_cones}
@@ -126,30 +129,23 @@ class StackyFan:
                     smaller.add(mask ^ (rest & -rest))
                     rest &= rest - 1
             level = smaller
-        return frozenset(faces), tuple(census)
+        facets = MappingProxyType({f: tuple(o) for f, o in opposites.items()})
+        return frozenset(faces), tuple(census), facets
+
+    def face_masks(self) -> FrozenSet[int]:
+        """Every cone as a bitmask over ray indices (bit i for ray i), the
+        origin (0) included."""
+        return self._face_record()[0]
 
     def census(self) -> Tuple[int, ...]:
         """Number of cones of each dimension, counted with the faces."""
-        self.face_masks()
-        return self._faces[1]
+        return self._face_record()[1]
 
     def facet_opposites(self) -> FacetMap:
         """Read-only map of each facet (a maximal cone minus one ray) to its
-        opposite rays, built on the first call only.
-
-        A facet's tuple holds the missing ray of every maximal cone that
-        contains it, in the order of ``max_cones``.
-        """
-        if self._facet_opposites is None:
-            self._facet_opposites = self._build_facet_opposites()
-        return self._facet_opposites
-
-    def _build_facet_opposites(self) -> FacetMap:
-        opposites: Dict[FrozenSet[int], List[int]] = {}
-        for cone in self.max_cones:
-            for i in sorted(cone):
-                opposites.setdefault(cone - {i}, []).append(i)
-        return MappingProxyType({f: tuple(o) for f, o in opposites.items()})
+        opposite rays: the missing ray of every maximal cone that contains
+        it, in the order of ``max_cones``."""
+        return self._face_record()[2]
 
     def is_complete(self) -> bool:
         """Every codimension-1 face must bound exactly two maximal cones."""
@@ -245,7 +241,8 @@ class StackyFan:
         sums = {a: list(map(sum, zip(*(rays[i] for i in a)))) for a in self.max_cones}
         for a in self.max_cones:
             for b in self.max_cones:
-                if a >= b:
+                # both orders run: the ray and interior-point tests look one way
+                if a == b:
                     continue
                 common = a & b
                 if sum(1 << i for i in common) not in faces:

@@ -308,22 +308,20 @@ ONE = MultiPoly.const(1)
 
 
 class TruncSeries:
-    """Power series in ``t`` truncated at a fixed order, with MultiPoly coefficients."""
+    """Power series in ``t`` with MultiPoly coefficients, truncated at order
+    ``len(coeffs) - 1``."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, order: int, coeffs: Sequence[MultiPoly]):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        self.order = order
+    def __init__(self, coeffs: Sequence[MultiPoly]):
         self.coeffs = tuple(MultiPoly._coerce(c) for c in coeffs)
 
     @staticmethod
     def from_rational(num: MultiPoly, den: MultiPoly, order: int) -> "TruncSeries":
         """Expand num/den in ``t`` to the given order; den must have constant
         term +-1."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
         n_by = num.coefficients_in("t")
         d_by = den.coefficients_in("t")
         d0 = d_by.get(0, ZERO)
@@ -341,4 +339,4 @@ class TruncSeries:
                     acc = acc - di * coeffs[k - i]
             # dividing by +-1 is multiplication by the same unit
             coeffs.append(acc * unit)
-        return TruncSeries(order, coeffs)
+        return TruncSeries(coeffs)

@@ -240,6 +240,43 @@ def test_unwritable_output_fails_before_computing(capsys, monkeypatch, tmp_path)
         assert err == f"error: cannot write {path}: {caught.value.strerror}\n"
 
 
+def deny_write(monkeypatch, denied):
+    """Make ``os.access`` refuse write access to ``denied`` only, as it would
+    for a user other than root."""
+    access = cli.os.access
+
+    def fake(path, mode, **kwargs):
+        if str(path) == str(denied) and mode & cli.os.W_OK:
+            return False
+        return access(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli.os, "access", fake)
+
+
+def test_writable_output_file_in_read_only_folder(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    deny_write(monkeypatch, tmp_path)
+    code, out, err = run(capsys, "motive", "--N", "3", "--output", str(path))
+    assert (code, out, err) == (EXIT_OK, "", "")
+    assert path.read_text().startswith("n  ")
+
+
+def test_read_only_output_file_is_refused(capsys, monkeypatch, tmp_path):
+    def closed_form(*args):
+        raise AssertionError("computed before checking --output")
+
+    monkeypatch.setattr(cli, "closed_form", closed_form)
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    deny_write(monkeypatch, path)
+    code, out, err = run(capsys, "motive", "--N", "3", "--output", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot write {path}: Permission denied\n"
+    assert path.read_text() == "old"
+
+
 def test_cli_import_leaves_optional_modules_unloaded():
     # -S: the interpreter's site hooks may import anything; they are not ours
     src = Path(__file__).resolve().parents[1] / "src"
@@ -834,7 +871,7 @@ def test_failed_strata_total_exits_with_check_failed(capsys, monkeypatch):
 
     def off_by_one(mode, ell, order):
         series = closed_form(mode, ell, order)
-        return TruncSeries(series.order, [c + 1 for c in series.coeffs])
+        return TruncSeries([c + 1 for c in series.coeffs])
 
     monkeypatch.setattr(cli, "closed_form", off_by_one)
     code, doc = run_json(capsys, "strata", "--n", "3", "--ell", "2")

@@ -76,13 +76,13 @@ def test_projective_fan_basics():
 def test_census_counts_the_cones_once(monkeypatch):
     fan = hilb_fan(3, 1)
     calls = []
-    build = StackyFan._build_face_masks
+    build = StackyFan._build_faces
 
     def counted(self):
         calls.append(self)
         return build(self)
 
-    monkeypatch.setattr(StackyFan, "_build_face_masks", counted)
+    monkeypatch.setattr(StackyFan, "_build_faces", counted)
     assert fan.census() == fan.census() == expected_product_census(3)
     assert len(fan.face_masks()) == sum(expected_product_census(3))
     assert calls == [fan]
@@ -91,13 +91,13 @@ def test_census_counts_the_cones_once(monkeypatch):
 @pytest.mark.parametrize("markings", ["0", "0+inf"])
 def test_fan_run_builds_facet_opposites_once(monkeypatch, capsys, markings):
     calls = []
-    build = StackyFan._build_facet_opposites
+    build = StackyFan._build_faces
 
     def counted(self):
         calls.append(self)
         return build(self)
 
-    monkeypatch.setattr(StackyFan, "_build_facet_opposites", counted)
+    monkeypatch.setattr(StackyFan, "_build_faces", counted)
     argv = ["fan", "--n", "3", "--i", "1", "--markings", markings]
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()

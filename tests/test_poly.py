@@ -30,19 +30,19 @@ def test_monomial_exponents_descend_lexicographically():
 def series_from_poly(p: MultiPoly, order: int) -> TruncSeries:
     """The polynomial p in ``t``, truncated at the given order."""
     by_power = p.coefficients_in("t")
-    return TruncSeries(order, [by_power.get(k, ZERO) for k in range(order + 1)])
+    return TruncSeries([by_power.get(k, ZERO) for k in range(order + 1)])
 
 
 def series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """The product of two truncated series, at the smaller order."""
-    order = min(a.order, b.order)
+    order = min(len(a.coeffs), len(b.coeffs)) - 1
     coeffs = []
     for k in range(order + 1):
         acc = ZERO
         for i in range(k + 1):
             acc = acc + a.coeffs[i] * b.coeffs[k - i]
         coeffs.append(acc)
-    return TruncSeries(order, coeffs)
+    return TruncSeries(coeffs)
 
 
 def specialize_term_by_term(p: MultiPoly, substitution) -> MultiPoly:
@@ -258,6 +258,12 @@ def test_series_requires_unit_constant_term():
         TruncSeries.from_rational(ONE, 2 - t, 3)
     with pytest.raises(NonUnitDenominatorError):
         TruncSeries.from_rational(ONE, t, 3)
+
+
+def test_series_refuses_negative_order():
+    t = MultiPoly.var("t")
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        TruncSeries.from_rational(ONE, 1 - t, -1)
 
 
 def test_series_negative_unit_denominator():
