@@ -44,6 +44,7 @@ from .fan import blowup_levels, fan_motive, hilb_fan, hilb_fan_two_sided, is_pal
 from .poly import MultiPoly
 from .strata import (
     MOTIVIC_P1,
+    SPECIALIZATIONS,
     ProfileError,
     ZetaMode,
     closed_form,
@@ -80,12 +81,13 @@ class UsageError(ValueError):
     """Invalid parameter combination detected after parsing."""
 
 
-def _check_cap(n: int, cap: int, what: str, force: bool, flag: str = "n") -> None:
-    """Refuse a negative size, or one above its cap without --force; the
-    message names the size by its flag (``n``, or ``N`` for motive)."""
+def _check_cap(args: argparse.Namespace, cap: int, what: str, flag: str = "n") -> None:
+    """Refuse a negative size, or one above its cap without --force; the size
+    is the argument of its flag (``n``, or ``N`` for motive)."""
+    n = getattr(args, flag)
     if n < 0:
         raise UsageError(f"{what}: {flag} must be non-negative")
-    if n > cap and not force:
+    if n > cap and not args.force:
         raise UsageError(
             f"{what}: {flag} = {n} exceeds the safety cap {cap}"
             " (pass --force to override)"
@@ -95,7 +97,7 @@ def _check_cap(n: int, cap: int, what: str, force: bool, flag: str = "n") -> Non
 def _check_size(args: argparse.Namespace, what: str, cap: int) -> None:
     """The refusals fan and chow share: ``n`` within its cap, at least 1, and
     ``0 <= i <= n``."""
-    _check_cap(args.n, cap, what, args.force)
+    _check_cap(args, cap, what)
     if args.n < 1:
         raise UsageError(f"{what}: need n >= 1")
     if not 0 <= args.i <= args.n:
@@ -103,20 +105,20 @@ def _check_size(args: argparse.Namespace, what: str, cap: int) -> None:
 
 
 def _check_series(
-    args: argparse.Namespace, what: str, flag: str, n: int, count: Count,
+    args: argparse.Namespace, what: str, flag: str, count: Count,
     largest: Optional[Count] = None, top: int = MAX_N_MOTIVE, unit: str = "composition",
 ) -> None:
     """The refusals of the commands that take markings: at least one, and,
-    without --force, no more slots to fill (``count(n, ell)`` for each of
-    ell markings) than the largest job at ``{flag} = top`` with three
+    without --force, no more slots (``count(n, ell)`` per marking, n the
+    value of ``flag``) than the largest job of size ``top`` with three
     markings fills (``largest(top, 3)`` each; ``largest`` is ``count``
-    unless the job is smaller than the largest of its size).  --force skips
-    the count."""
+    unless the job is smaller than the largest of its size)."""
     if args.ell < 1:
         raise UsageError(f"{what}: need at least one marking")
     if args.force:
         return
     cap = (largest or count)(top, 3) * 3
+    n = getattr(args, flag)
     wanted = count(n, args.ell) * args.ell
     if wanted > cap:
         raise UsageError(
@@ -278,7 +280,7 @@ def _chow_thmD(args: argparse.Namespace) -> Result:
         return 1 + sum(n - j + 2 for j in blowup_levels(n, i))
 
     _check_series(
-        args, "chow thmD", "n", args.n, lambda n, ell: slots(n, args.i),
+        args, "chow thmD", "n", lambda n, ell: slots(n, args.i),
         largest=lambda n, ell: slots(n, 0), top=MAX_N_GROUPS, unit="relation",
     )
     if args.curve == "symbolic" and (args.groups or args.compare_sr):
@@ -390,10 +392,10 @@ def _chow_compare(args: argparse.Namespace) -> Result:
 
 
 def cmd_motive(args: argparse.Namespace) -> Result:
-    _check_cap(args.N, MAX_N_MOTIVE, "motive", args.force, "N")
+    _check_cap(args, MAX_N_MOTIVE, "motive", "N")
     # the oracle enumerates the profiles of every size up to N
     _check_series(
-        args, "motive", "N", args.N,
+        args, "motive", "N",
         lambda N, ell: sum(profile_count(n, ell) for n in range(N + 1)),
     )
     try:
@@ -426,9 +428,9 @@ def cmd_motive(args: argparse.Namespace) -> Result:
 def cmd_strata(args: argparse.Namespace) -> Result:
     # one --profile fills ell slots, but the interior series is still
     # expanded to order n
-    _check_cap(args.n, MAX_N_MOTIVE, "strata", args.force)
+    _check_cap(args, MAX_N_MOTIVE, "strata")
     count = profile_count if args.profile is None else (lambda n, ell: 1)
-    _check_series(args, "strata", "n", args.n, count, largest=profile_count)
+    _check_series(args, "strata", "n", count, largest=profile_count)
     mode = MOTIVIC_P1
     if args.profile is not None:
         try:
@@ -537,11 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_route.set_defaults(handler=handler)
 
     p_motive = sub.add_parser("motive", help="generating-function table")
-    p_motive.add_argument(
-        "--mode",
-        choices=("motivic-p1", "hodge", "poincare", "euler"),
-        default="motivic-p1",
-    )
+    modes = tuple(SPECIALIZATIONS)
+    p_motive.add_argument("--mode", choices=modes, default="motivic-p1")
     p_motive.add_argument("--g", type=int, default=0)
     p_motive.add_argument("--ell", type=int, default=1)
     p_motive.add_argument("--N", type=int, required=True)

@@ -65,6 +65,7 @@ class StackyFan:
     ``max_cones`` holds frozensets of indices into ``rays``.  A ray's label
     is its identity, so no two rays share one.  Rays keep insertion order
     and cones are kept sorted for deterministic output.
+    ``dim`` is the common length of the ray vectors, so a fan needs a ray.
     ``cone_dets`` maps each maximal cone to the determinant of its ray
     vectors as rows in sorted index order (nonzero: the cone is full).  A
     caller may pass them, as ``star_subdivide`` does; else each is computed.
@@ -72,9 +73,11 @@ class StackyFan:
 
     __slots__ = ("dim", "rays", "max_cones", "cone_dets", "_faces")
 
-    def __init__(self, dim: int, rays: Sequence[Ray], max_cones, cone_dets=None):
-        self.dim = dim
+    def __init__(self, rays: Sequence[Ray], max_cones, cone_dets=None):
         self.rays = tuple(rays)
+        if not self.rays:
+            raise FanError("a fan needs at least one ray")
+        self.dim = dim = len(self.rays[0].vector)
         cones = [frozenset(c) for c in max_cones]
         self.max_cones = tuple(sorted(cones, key=lambda c: sorted(c)))
         self._faces: Optional[FaceRecord] = None
@@ -288,15 +291,12 @@ def projective_fan(n: int) -> StackyFan:
     """The standard complete fan of n-dimensional projective space."""
     if n < 1:
         raise FanError("dimension must be at least 1")
-    rays = []
-    for j in range(1, n + 1):
-        e = tuple(1 if k == j - 1 else 0 for k in range(n))
-        rays.append(Ray(f"sigma_{j}", e))
-    rays.append(Ray("tau", tuple(-1 for _ in range(n))))
-    cones = []
-    for omit in range(n + 1):
-        cones.append(frozenset(i for i in range(n + 1) if i != omit))
-    return StackyFan(n, rays, cones)
+    rays = [
+        Ray(f"sigma_{j + 1}", tuple(int(k == j) for k in range(n))) for j in range(n)
+    ]
+    rays.append(Ray("tau", (-1,) * n))
+    cones = [frozenset(range(n + 1)) - {omit} for omit in range(n + 1)]
+    return StackyFan(rays, cones)
 
 
 def star_subdivide(
@@ -345,7 +345,7 @@ def star_subdivide(
             continue
         for r, w in weights.items():
             dets[(cone - {r}) | {new_index}] = fan._side(cone - {r}, r) * w
-    return StackyFan(fan.dim, rays, dets.keys(), cone_dets=dets)
+    return StackyFan(rays, dets.keys(), cone_dets=dets)
 
 
 def blowup_centre(n: int, j: int, side: str) -> Tuple[str, Tuple[Tuple[str, int], ...]]:
@@ -388,12 +388,12 @@ def hilb_fan(n: int, i: int) -> StackyFan:
     marking-0 centres of ``blowup_levels(n, i)``, top level first.
     """
     levels = blowup_levels(n, i)
-    return _blow_up(projective_fan(n), n, "0", levels)
+    return _blow_up(projective_fan(n), "0", levels)
 
 
-def _blow_up(fan: StackyFan, n: int, side: str, levels: range) -> StackyFan:
+def _blow_up(fan: StackyFan, side: str, levels: range) -> StackyFan:
     for j in levels:
-        label, centre = blowup_centre(n, j, side)
+        label, centre = blowup_centre(fan.dim, j, side)
         fan = star_subdivide(fan, centre, label)
     return fan
 
@@ -431,5 +431,5 @@ def hilb_fan_two_sided(n: int, i_zero: int, i_inf: int) -> StackyFan:
     is accepted via census and Euler-characteristic cross-checks, not assumed.
     """
     zero_levels, inf_levels = blowup_levels(n, i_zero), blowup_levels(n, i_inf)
-    fan = _blow_up(projective_fan(n), n, "0", zero_levels)
-    return _blow_up(fan, n, "inf", inf_levels)
+    fan = _blow_up(projective_fan(n), "0", zero_levels)
+    return _blow_up(fan, "inf", inf_levels)

@@ -14,10 +14,11 @@ Sparse relation matrices, mostly +-1, are first brought to a
 ``ReducedForm`` (``reduced_form``): +-1 pivots are eliminated on dict rows
 in Markowitz order, and the dense kernel runs only on the remaining core
 (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  The form is one
-echelon basis, the +-1 pivot rows and then the core's Hermite rows, and
-answers invariant factors and row-span membership with no further Hermite
-form.  It also serves the Chow layer's linear solve: the pivots of the
-degree-1 form are the variables to eliminate, their residues their images.
+echelon basis, the +-1 pivot rows and then the core's Hermite rows.  It
+answers row-span membership with no further Hermite form, and starts the
+alternation for invariant factors from the transposed Hermite rows.  The
+degree-1 form serves the Chow layer's linear solve too: its pivots are the
+variables to eliminate, their residues their images.
 
 Square systems have one fraction-free (Bareiss) elimination, which serves
 both ``det`` and ``fraction_free_solve``: one pass over ``[m | b]`` gives
@@ -306,12 +307,12 @@ class ReducedForm(NamedTuple):
     basis: Tuple[Tuple[int, SparseRow], ...]
 
     def invariant_factors(self) -> List[int]:
-        """Those of the matrix: each pivot is a unimodular step with factor
-        1, and the Hermite rows have the core's factors."""
+        """Those of the matrix: a pivot is a unimodular step with factor 1,
+        and the alternation starts from the core's Hermite rows, transposed."""
         core = self.basis[self.units:]
         columns = sorted({j for _, row in core for j in row})
-        dense = [[row.get(j, 0) for j in columns] for _, row in core]
-        return [1] * self.units + invariant_factors(dense)
+        transpose = [[row.get(j, 0) for _, row in core] for j in columns]
+        return [1] * self.units + invariant_factors(transpose)
 
     def residue(self, target: Mapping[int, int]) -> SparseRow:
         """What is left of a vector {column: entry} after reduction against

@@ -64,8 +64,8 @@ class StratumProfile(NamedTuple("StratumProfile", [
         return f"{self.m};{comps}" if self.nu else str(self.m)
 
 
-# Macdonald's variables u, v specialized in each mode: [A^1] = u*v
-_SPECIALIZATIONS = {
+# Macdonald's u, v specialized in each mode (``motive --mode``): [A^1] = u*v
+SPECIALIZATIONS = {
     "motivic-p1": {"u": MultiPoly.var("L"), "v": 1},
     "hodge": {},
     "poincare": {"u": MultiPoly.var("x"), "v": MultiPoly.var("x")},
@@ -78,14 +78,14 @@ class ZetaMode(NamedTuple("ZetaMode", [("kind", str), ("g", int)])):
 
     kind "hodge" keeps Macdonald's u and v in Z[u, v]; "motivic-p1" sets
     u = L, v = 1 in Z[L] and requires genus 0; "poincare" sets u = v = x and
-    "euler" u = v = 1 (``_SPECIALIZATIONS``), both in any genus.
+    "euler" u = v = 1 (``SPECIALIZATIONS``), both in any genus.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, kind: str, g: int = 0):
-        if kind not in _SPECIALIZATIONS:
+        if kind not in SPECIALIZATIONS:
             raise ValueError(f"unknown mode kind {kind!r}")
         if g < 0:
             raise ValueError("genus must be non-negative")
@@ -100,7 +100,7 @@ MOTIVIC_P1 = ZetaMode("motivic-p1", 0)
 def affine_line_class(mode: ZetaMode) -> MultiPoly:
     """The class of the affine line in the mode's coefficient ring."""
     u, v = MultiPoly.var("u"), MultiPoly.var("v")
-    return (u * v).specialize(_SPECIALIZATIONS[mode.kind])
+    return (u * v).specialize(SPECIALIZATIONS[mode.kind])
 
 
 def _power(f: MultiPoly, e: int, order: int) -> MultiPoly:
@@ -116,7 +116,7 @@ def zeta_num_den(mode: ZetaMode, order: int) -> Tuple[MultiPoly, MultiPoly]:
     The power is taken after the specialization, up to t^order (``_power``)."""
     t, u, v = (MultiPoly.var(name) for name in "tuv")
     one = MultiPoly.const(1)
-    substitution = _SPECIALIZATIONS[mode.kind]
+    substitution = SPECIALIZATIONS[mode.kind]
     num = ((one - u * t) * (one - v * t)).specialize(substitution)
     den = ((one - t) * (one - u * v * t)).specialize(substitution)
     return _power(num, mode.g, order), den
@@ -203,9 +203,9 @@ def strata_classes(
         yield profile, cls
 
 
-def stratum_class(profile: StratumProfile, mode: ZetaMode, ell: int) -> MultiPoly:
-    """Grothendieck-ring class of a single locally closed stratum."""
-    return next(strata_classes(profile.total, ell, mode, [profile]))[1]
+def stratum_class(profile: StratumProfile, mode: ZetaMode) -> MultiPoly:
+    """Grothendieck-ring class of one locally closed stratum (ell = len(nu))."""
+    return next(strata_classes(profile.total, len(profile.nu), mode, [profile]))[1]
 
 
 def strata_sum(n: int, ell: int, mode: ZetaMode) -> MultiPoly:

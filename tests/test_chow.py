@@ -642,6 +642,20 @@ def test_graded_groups_match_unreduced_oracle(n):
             assert graded_group(pres, d) == oracle_piece(source, d)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_reduced_invariant_factors_match_dense_on_sr_degrees(n):
+    # the reduced form's factors, from the transposed Hermite rows of its core,
+    # against the dense alternation on the same relation matrix
+    for i in range(1, n + 1):  # level 0 is level 1
+        pres = sr_presentation(hilb_fan(n, i))
+        solved = _solved(pres)[0]
+        for d in range(n + 1):
+            index, rows = _relation_rows(solved.variables(), solved.relations, d)
+            dense = [[row.get(j, 0) for j in range(len(index))] for row in rows]
+            form = chow._reduced(pres, d)[2]
+            assert form.invariant_factors() == invariant_factors(dense)
+
+
 @st.composite
 def membership_cases(draw):
     n = draw(st.integers(min_value=1, max_value=3))

@@ -109,7 +109,7 @@ def test_fan_failed_check_names_the_cone(capsys, monkeypatch):
 
 def test_incomplete_fan_reports_its_checks(capsys, monkeypatch):
     base = hilb_fan(2, 1)
-    fan = StackyFan(2, base.rays, base.max_cones[1:])
+    fan = StackyFan(base.rays, base.max_cones[1:])
     monkeypatch.setattr(cli, "hilb_fan", lambda n, i: fan)
     code, out, err = run(capsys, "fan", "--n", "2", "--i", "1", "--format", "json")
     assert code == EXIT_CHECK_FAILED
@@ -775,6 +775,31 @@ def test_symbolic_marking_cap_counts_the_relations(capsys, monkeypatch):
             main(argv + ["--ell", str(most)])
         assert main(argv + ["--ell", str(most + 1)]) == EXIT_USAGE
     assert "fills 85 relation slots" in capsys.readouterr().err
+
+
+def test_symbolic_marking_cap_runs_up_to_its_boundaries(capsys):
+    # the cap is three markings of the relations thmD_presentation states at
+    # n = 7, i = 0, each marking filling one slot more; at n = 1 a marking
+    # adds no relation, so 84 markings fill the cap
+    symbolic = chow.BaseRing.symbolic
+    assert 84 == 3 * (1 + len(chow.thmD_presentation(7, [0], symbolic(1)).relations))
+    assert chow.thmD_presentation(1, [0], symbolic(1)).relations == ()
+    for n, most in ((7, 3), (1, 84)):
+        argv = ("chow", "thmD", "--n", str(n), "--i", "0", "--curve", "symbolic")
+        code, out, err = run(capsys, *argv, "--ell", str(most), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert most + len(json.loads(out)["presentation"]["relations"]) == 84
+        code, out, err = run(capsys, *argv, "--ell", str(most + 1))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "above the safety cap 84 of n = 7 with ell = 3" in err
+
+
+def test_motive_modes_are_the_specialization_table(capsys):
+    # one vocabulary: --mode offers the modes strata specializes, in its order
+    code, out, _ = run(capsys, "motive", "--help")
+    assert code == EXIT_OK
+    offered = re.search(r"--mode \{([^}]*)\}", out).group(1).split(",")
+    assert offered == list(strata.SPECIALIZATIONS)
 
 
 def test_one_profile_fills_ell_slots(capsys, monkeypatch):

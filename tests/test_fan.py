@@ -115,15 +115,31 @@ def test_facet_opposites_are_read_only():
 def test_max_cones_must_be_full_dimensional():
     rays = [Ray("a", (1, 0)), Ray("b", (0, 1)), Ray("c", (-1, -1))]
     with pytest.raises(FanError):
-        StackyFan(2, rays, [frozenset({0})])
+        StackyFan(rays, [frozenset({0})])
     with pytest.raises(FanError):
         # a, -a are linearly dependent
-        StackyFan(2, [Ray("a", (1, 0)), Ray("b", (-1, 0))], [frozenset({0, 1})])
+        StackyFan([Ray("a", (1, 0)), Ray("b", (-1, 0))], [frozenset({0, 1})])
+
+
+def test_fan_takes_its_dimension_from_its_rays():
+    # every one- and two-sided fan, rebuilt from its rays and cones alone
+    for n in range(1, 6):
+        levels = range(n + 1)
+        fans = [hilb_fan(n, i) for i in levels]
+        fans += [hilb_fan_two_sided(n, i, j) for i in levels for j in levels]
+        for fan in fans:
+            rebuilt = StackyFan(fan.rays, fan.max_cones)
+            assert same_fan(rebuilt, fan) and rebuilt.dim == fan.dim == n
+            assert dict(rebuilt.cone_dets) == dict(fan.cone_dets)
+    with pytest.raises(FanError, match="^ray dimension mismatch$"):
+        StackyFan([Ray("a", (1, 0)), Ray("b", (0, 1, 0))], [])
+    with pytest.raises(FanError, match="^a fan needs at least one ray$"):
+        StackyFan([], [])
 
 
 def test_incomplete_fan_detected():
     rays = [Ray("a", (1, 0)), Ray("b", (0, 1))]
-    fan = StackyFan(2, rays, [frozenset({0, 1})])
+    fan = StackyFan(rays, [frozenset({0, 1})])
     assert not fan.is_complete()
 
 
@@ -157,7 +173,7 @@ def test_ray_labels_are_distinct():
     rays = [Ray("a", (1, 0)), Ray("a", (0, 1)), Ray("c", (-1, -1))]
     cones = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
     with pytest.raises(FanError, match="^two rays are labelled a$"):
-        StackyFan(2, rays, cones)
+        StackyFan(rays, cones)
 
 
 @pytest.mark.parametrize(
@@ -264,7 +280,7 @@ def test_fans_compare_by_identity():
     assert not same_fan(hilb_fan(2, 1), projective_fan(2))
     assert not same_fan(hilb_fan(3, 1), hilb_fan_two_sided(3, 1, 1))
     rays = [Ray("a", (1, 0)), Ray("b", (0, 1)), Ray("c", (-1, 0))]
-    assert not same_fan(StackyFan(2, rays, [{0, 1}]), StackyFan(2, rays, [{1, 2}]))
+    assert not same_fan(StackyFan(rays, [{0, 1}]), StackyFan(rays, [{1, 2}]))
 
 
 def test_hilb_fan_level_zero_equals_level_one():
@@ -434,7 +450,7 @@ def test_inf_side_mirrors_the_zero_side(n):
     for i in range(n + 1):
         zero = hilb_fan(n, i)
         rays = [Ray(ray.label, invert(ray.vector)) for ray in zero.rays]
-        assert same_fan(StackyFan(n, rays, zero.max_cones), hilb_fan_two_sided(n, n, i))
+        assert same_fan(StackyFan(rays, zero.max_cones), hilb_fan_two_sided(n, n, i))
 
 
 def test_fan_builders_make_no_solve(monkeypatch):
@@ -529,7 +545,7 @@ def pentagram_fan() -> StackyFan:
     twice around the origin, so every facet test passes on a non-fan."""
     vectors = [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)]
     rays = [Ray(f"p{k}", v) for k, v in enumerate(vectors)]
-    return StackyFan(2, rays, [frozenset({k, (k + 2) % 5}) for k in range(5)])
+    return StackyFan(rays, [frozenset({k, (k + 2) % 5}) for k in range(5)])
 
 
 def product_p1_fan(n: int) -> StackyFan:
@@ -543,7 +559,7 @@ def product_p1_fan(n: int) -> StackyFan:
     cones = [
         frozenset(2 * k + (mask >> k & 1) for k in range(n)) for mask in range(1 << n)
     ]
-    return StackyFan(n, rays, cones)
+    return StackyFan(rays, cones)
 
 
 def expected_product_census(n: int):
@@ -552,7 +568,7 @@ def expected_product_census(n: int):
 
 def with_ray(fan: StackyFan, label: str, vector) -> StackyFan:
     rays = [Ray(r.label, vector if r.label == label else r.vector) for r in fan.rays]
-    return StackyFan(fan.dim, rays, fan.max_cones)
+    return StackyFan(rays, fan.max_cones)
 
 
 def oracle_fans(n):
@@ -582,7 +598,7 @@ def larger_hilb_fans(n):
 
 def test_census_of_a_fan_with_no_maximal_cone():
     # the origin is a cone even when no maximal cone is given
-    fan = StackyFan(2, [Ray("a", (1, 0))], [])
+    fan = StackyFan([Ray("a", (1, 0))], [])
     assert fan.census() == (1, 0, 0)
     assert fan.face_masks() == {0}
     assert fan_motive(fan) == (MultiPoly.var("L") - 1) ** 2
@@ -749,7 +765,7 @@ def test_overlapping_extra_cone_is_rejected():
     sigmas = ("sigma_1", "sigma_2", "sigma_3")
     corner = frozenset(i for i, ray in enumerate(base.rays) if ray.label in sigmas)
     assert corner not in base.max_cones
-    fan = StackyFan(3, base.rays, base.max_cones + (corner,))
+    fan = StackyFan(base.rays, base.max_cones + (corner,))
     assert not fan.check_intersections_are_faces()
     assert fan.fan_defect() == (
         "facet {sigma_2, sigma_3} bounds 3 of the maximal cones, not 2"
@@ -766,9 +782,9 @@ def test_pentagram_double_cover_is_rejected():
 
 def test_incomplete_fan_is_rejected():
     base = hilb_fan(3, 1)
-    fan = StackyFan(3, base.rays, base.max_cones[1:])
+    fan = StackyFan(base.rays, base.max_cones[1:])
     assert "bounds 1 of the maximal cones" in fan.fan_defect()
-    assert StackyFan(2, [Ray("a", (1, 0))], []).fan_defect() is not None
+    assert StackyFan([Ray("a", (1, 0))], []).fan_defect() is not None
 
 
 def test_is_palindromic():

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from loghilb import linalg
 from loghilb.linalg import (
     det,
     eliminate_unit_pivots,
@@ -568,11 +569,38 @@ def sparse_unit_matrices(draw, max_rows=9, max_cols=7):
     return m, ncols
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_unit_matrices())
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(
+        sparse_unit_matrices(),
+        # general entries leave cores whose Hermite rows are not diagonal
+        int_matrices().map(lambda m: (m, len(m[0]) if m else 1)),
+    )
+)
 def test_reduced_form_invariant_factors_match_dense(case):
     m, ncols = case
     assert reduced_form(sparse(m), ncols).invariant_factors() == invariant_factors(m)
+
+
+def test_reduced_form_invariant_factors_reuse_the_core_hermite_rows(monkeypatch):
+    # no +-1 entry, so the whole matrix is the core; its Hermite rows are not
+    # diagonal, and the dense route computes them once more than the form does
+    m = [[2, 4], [0, 6]]
+    form = reduced_form(sparse(m), 2)
+    assert [row for _, row in form.basis] == [{0: 2, 1: 4}, {1: 6}]
+    calls = []
+    hermite = linalg.hermite_normal_form
+
+    def counted(a):
+        calls.append(1)
+        return hermite(a)
+
+    monkeypatch.setattr(linalg, "hermite_normal_form", counted)
+    assert form.invariant_factors() == [2, 6]
+    assert len(calls) == 1  # of the transposed Hermite rows, now diagonal
+    calls.clear()
+    assert invariant_factors(m) == [2, 6]
+    assert len(calls) == 2  # of m, then of its transposed Hermite rows
 
 
 @settings(max_examples=300, deadline=None)

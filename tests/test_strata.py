@@ -204,9 +204,9 @@ def test_interior_sym_coefficients():
 def test_stratum_class_codimension_weight():
     L = MultiPoly.var("L")
     p = StratumProfile(0, ((2,),))
-    assert stratum_class(p, MOTIVIC_P1, 1) == L
+    assert stratum_class(p, MOTIVIC_P1) == L
     p = StratumProfile(0, ((1, 1),))
-    assert stratum_class(p, MOTIVIC_P1, 1) == MultiPoly.const(1)
+    assert stratum_class(p, MOTIVIC_P1) == MultiPoly.const(1)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +237,7 @@ def test_strata_classes_match_per_profile_oracle(mode):
             for profile, cls in pairs:
                 expected = per_profile_class(profile, mode, ell)
                 assert cls == expected
-                assert stratum_class(profile, mode, ell) == expected
+                assert stratum_class(profile, mode) == expected
 
 
 def test_strata_classes_keep_input_order_and_check_markings():
@@ -251,8 +251,6 @@ def test_strata_classes_keep_input_order_and_check_markings():
     assert next(classes)[0] == profiles[0]
     with pytest.raises(ProfileError, match="number of markings"):
         next(classes)
-    with pytest.raises(ProfileError, match="number of markings"):
-        stratum_class(profiles[0], MOTIVIC_P1, 3)
 
 
 def test_strata_sum_adds_no_polynomial_per_profile(monkeypatch):
