@@ -6,16 +6,18 @@ tables, each with JSON, CSV or aligned-text output.  Each ``chow`` subcommand
 declares only the flags it reads besides ``--n``, ``--i``, ``--format``,
 ``--output`` and ``--force``: ``sr`` takes ``--groups``; ``thmD`` ``--curve``,
 ``--ell``, ``--groups`` and ``--compare-sr``; ``keel`` ``--groups`` and
-``--compare-sr``; ``compare`` none.  Every command is deterministic and
-returns its payload and table rows to ``main``; the payload's ``checks`` map
-holds the verdict of each cross-check the command ran, by name.  ``main``
-writes the output once and returns the exit code: 0 for success, 2 for
-invalid parameters (an argument a parser cannot read, refused with the usage
-of the parser that meets it and ``loghilb [<command>]: error: unrecognized
-arguments``; an ``n``, or a job's slots, above its size cap without
-``--force``; and an ``--output`` path that cannot be written, which is
-checked before computing), 3 when any entry of ``checks`` is false.  Any
-other error is internal and exits 1 with a traceback.
+``--compare-sr``; ``compare`` none.  With ``--compare-sr``, ``graded_groups``
+is the comparison's source column, so each degree's group is computed once.
+Every command is deterministic and returns its payload and table rows to
+``main``; the payload's ``checks`` map holds the verdict of each cross-check
+the command ran, by name.  ``main`` writes the output once and returns the
+exit code: 0 for success, 2 for invalid parameters (an argument a parser
+cannot read, refused with the usage of the parser that meets it and
+``loghilb [<command>]: error: unrecognized arguments``; an ``n``, or a job's
+slots, above its size cap without ``--force``; and an ``--output`` path that
+is empty or cannot be written, which is checked before computing), 3 when
+any entry of ``checks`` is false.  Any other error is internal and exits 1
+with a traceback.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .strata import (
     SPECIALIZATIONS,
     ProfileError,
     ZetaMode,
+    affine_line_class,
     closed_form,
     enumerate_profiles,
     parse_profile,
@@ -135,10 +138,12 @@ def _words(values) -> str:
 
 def _check_output(path: str) -> None:
     """Before any computation, refuse with ``open``'s reason an ``--output``
-    that is a directory, an unwritable file, or a new file in a missing or
-    unwritable directory; ``_emit`` reports any other failure to write."""
+    that is empty, a directory, an unwritable file, or a new file in a missing
+    or unwritable directory; ``_emit`` reports any other failure to write."""
     folder = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:  # an unset shell variable, say: no file, not stdout
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif os.path.exists(path):  # opened, not created: the folder's mode is moot
         if os.access(path, os.W_OK):
@@ -171,8 +176,7 @@ def _emit(payload: dict, rows: List[dict], args: argparse.Namespace) -> None:
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
         text = buf.getvalue()
     else:
         lines = []
@@ -186,7 +190,7 @@ def _emit(payload: dict, rows: List[dict], args: argparse.Namespace) -> None:
             if key != "rows":
                 lines.append(f"{key}: {value}")
         text = "\n".join(lines) + "\n"
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -224,8 +228,7 @@ def cmd_fan(args: argparse.Namespace) -> Result:
         expected = closed_form(MOTIVIC_P1, 2, args.n).coeffs[args.n]
         checks["motive_matches_two_marking_series"] = motive == expected
         euler = sum(motive.terms.values())
-        expected_euler = sum(expected.terms.values())
-        checks["euler_characteristic"] = euler == expected_euler
+        checks["euler_characteristic"] = euler == sum(expected.terms.values())
     checks["complete"] = fan.is_complete()
     defect = fan.fan_defect()
     checks["intersections_are_faces"] = defect is None
@@ -264,7 +267,7 @@ def _chow_sr(args: argparse.Namespace) -> Result:
     payload, rows = _presentation_result(args, sr_presentation(fan), {})
     if args.groups:
         # the rank in degree k is the coefficient of L^(n-k) in the motive
-        L = MultiPoly.var("L")
+        L = affine_line_class(MOTIVIC_P1)
         ranks = MultiPoly.sum(r["rank"] * L ** (args.n - r["degree"]) for r in rows)
         payload["checks"]["ranks_match_motive"] = ranks == fan_motive(fan)
     return payload, rows
@@ -301,7 +304,8 @@ def _chow_keel(args: argparse.Namespace) -> Result:
 
 def _presentation_result(args: argparse.Namespace, pres, checks: dict) -> Result:
     """The relations, or the graded groups once they are computed, and the
-    SR comparison with --compare-sr."""
+    SR comparison with --compare-sr, whose source column is then the graded
+    groups: each degree's group is computed once."""
     payload = {
         "command": f"chow {args.subcommand}",
         "n": args.n,
@@ -313,15 +317,17 @@ def _presentation_result(args: argparse.Namespace, pres, checks: dict) -> Result
         {"relation": rel.to_string(), "degree": rel.degree()}
         for rel in pres.all_relations()
     ]
-    if args.groups or args.compare_sr:
-        summary = [g.to_json_dict() for g in graded_groups(pres)]
+    report = _sr_comparison(args.n, args.i, pres) if args.compare_sr else None
+    if args.groups or report:
+        summary = [entry["source"] for entry in report["graded"]] if report else [
+            g.to_json_dict() for g in graded_groups(pres)
+        ]
         payload["graded_groups"] = summary
         rows = [
             {"degree": g["degree"], "rank": g["rank"], "torsion": _words(g["torsion"])}
             for g in summary
         ]
-    if args.compare_sr:
-        report = _sr_comparison(args.n, args.i, pres)
+    if report:
         payload["sr_comparison"] = report
         checks["sr_comparison"] = report["pass"]
     return payload, rows
@@ -431,7 +437,6 @@ def cmd_strata(args: argparse.Namespace) -> Result:
     _check_cap(args, MAX_N_MOTIVE, "strata")
     count = profile_count if args.profile is None else (lambda n, ell: 1)
     _check_series(args, "strata", "n", count, largest=profile_count)
-    mode = MOTIVIC_P1
     if args.profile is not None:
         try:
             profile = parse_profile(args.profile)
@@ -449,7 +454,7 @@ def cmd_strata(args: argparse.Namespace) -> Result:
     rows = []
 
     def listed_classes():
-        for profile, cls in strata_classes(args.n, args.ell, mode, profiles):
+        for profile, cls in strata_classes(args.n, args.ell, MOTIVIC_P1, profiles):
             rows.append(
                 {
                     "profile": str(profile),
@@ -463,7 +468,7 @@ def cmd_strata(args: argparse.Namespace) -> Result:
     total = MultiPoly.sum(listed_classes())
     checks: Dict[str, bool] = {}
     if args.profile is None:
-        expected = closed_form(mode, args.ell, args.n).coeffs[args.n]
+        expected = closed_form(MOTIVIC_P1, args.ell, args.n).coeffs[args.n]
         checks["total_matches_series"] = total == expected
     payload = {
         "command": "strata",
@@ -562,7 +567,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # --help, or argparse refusing the command line
         return exc.code
     try:
-        if args.output:
+        if args.output is not None:
             _check_output(args.output)
         payload, rows = args.func(args)
         _emit(payload, rows, args)

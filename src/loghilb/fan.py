@@ -26,6 +26,7 @@ from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequenc
 
 from .linalg import det, fraction_free_solve
 from .poly import MultiPoly
+from .strata import MOTIVIC_P1, affine_line_class
 
 Vector = Tuple[int, ...]
 FacetMap = Mapping[FrozenSet[int], Tuple[int, ...]]
@@ -402,12 +403,12 @@ def fan_motive(fan: StackyFan) -> MultiPoly:
     """Class of the toric stack in the Grothendieck ring, as a polynomial in L.
 
     Each cone of dimension d contributes a torus factor (L-1)^(n-d): one torus
-    orbit per cone, so this holds for any fan, complete or not.
+    orbit per cone, so this holds for any fan, complete or not.  L is
+    ``affine_line_class(MOTIVIC_P1)``, the variable the series are written in.
     """
-    lm1 = MultiPoly.var("L") - 1
+    lm1 = affine_line_class(MOTIVIC_P1) - 1
     return MultiPoly.sum(
-        count * lm1 ** (fan.dim - dim)
-        for count, dim in zip(fan.census(), range(fan.dim + 1))
+        count * lm1 ** (fan.dim - dim) for dim, count in enumerate(fan.census())
     )
 
 

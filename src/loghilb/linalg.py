@@ -16,9 +16,10 @@ in Markowitz order, and the dense kernel runs only on the remaining core
 (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  The form is one
 echelon basis, the +-1 pivot rows and then the core's Hermite rows.  It
 answers row-span membership with no further Hermite form, and starts the
-alternation for invariant factors from the transposed Hermite rows.  The
-degree-1 form serves the Chow layer's linear solve too: its pivots are the
-variables to eliminate, their residues their images.
+alternation for invariant factors from the transposed Hermite rows; when the
+pivots clear the whole core, the factors are the pivots' 1s, with no
+Hermite form at all.  The degree-1 form serves the Chow layer's linear solve
+too: its pivots are the variables to eliminate, their residues their images.
 
 Square systems have one fraction-free (Bareiss) elimination, which serves
 both ``det`` and ``fraction_free_solve``: one pass over ``[m | b]`` gives
@@ -308,11 +309,12 @@ class ReducedForm(NamedTuple):
 
     def invariant_factors(self) -> List[int]:
         """Those of the matrix: a pivot is a unimodular step with factor 1,
-        and the alternation starts from the core's Hermite rows, transposed."""
+        and the alternation starts from the core's Hermite rows, transposed;
+        an empty core, all of whose rows the pivots cleared, adds nothing."""
         core = self.basis[self.units:]
         columns = sorted({j for _, row in core for j in row})
         transpose = [[row.get(j, 0) for _, row in core] for j in columns]
-        return [1] * self.units + invariant_factors(transpose)
+        return [1] * self.units + (invariant_factors(transpose) if core else [])
 
     def residue(self, target: Mapping[int, int]) -> SparseRow:
         """What is left of a vector {column: entry} after reduction against

@@ -12,13 +12,17 @@ changed, was added or was dropped:
 The grid covers ``fan`` for n <= 5 with one and two markings and with
 ``--census``; every ``chow`` subcommand and flag for n <= 4; ``motive`` in all
 four modes for N <= 6; ``strata`` with and without ``--profile``; ``fan`` and
-``chow`` at their size caps; refusals of each command; and the three
-formats.  The refusals are those ``main`` writes itself: an argparse refusal
+``chow`` at their size caps; refusals of each command; the three formats;
+and the ``fan-checks`` and ``chow-groups`` jobs of ``bench/jobs.py`` with the
+``--format json`` the benchmark adds (``test_bench_gate.py`` checks every
+job, the ``strata-series`` ones too, against the benchmark's reference
+answers).  The refusals are those ``main`` writes itself: an argparse refusal
 prints a usage text wrapped to the terminal's width, so it is left out.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import shlex
@@ -28,6 +32,7 @@ from typing import Iterator, List, Tuple
 from loghilb.cli import main
 
 PINNED = Path(__file__).with_name("cli_outputs.json")
+JOBS = Path(__file__).resolve().parents[1] / "bench" / "jobs.py"
 
 
 def _fan() -> Iterator[List[str]]:
@@ -115,16 +120,27 @@ REFUSALS = [
 ]
 
 
+def _bench() -> List[List[str]]:
+    """The command lines of the ``fan-checks`` and ``chow-groups`` jobs,
+    read from ``bench/jobs.py`` without touching ``sys.path``."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return [jobs.argv(job) for workload in ("fan-checks", "chow-groups")
+            for job in jobs.WORKLOADS[workload]]
+
+
 def grid() -> List[List[str]]:
     """Every pinned command line: each computed one in text format, the
-    small ones also in json and csv, the large ones, and the refusals."""
+    small ones also in json and csv, the large ones, the refusals, and the
+    benchmark's jobs."""
     lines = []
     for argv in (*_fan(), *_chow(), *_motive(), *_strata()):
         lines.append(argv)
         if argv[argv.index("--n" if "--n" in argv else "--N") + 1] in ("1", "2"):
             lines.append(argv + ["--format", "json"])
             lines.append(argv + ["--format", "csv"])
-    return lines + LARGE + REFUSALS
+    return lines + LARGE + REFUSALS + _bench()
 
 
 def replay(argv: List[str]) -> Tuple[int, str, str]:

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,18 @@ def test_unwritable_output_fails_before_computing(capsys, monkeypatch, tmp_path)
         assert out == ""
         # the reason open() gives at write time
         assert err == f"error: cannot write {path}: {caught.value.strerror}\n"
+
+
+def test_empty_output_path_is_refused_before_computing(capsys, monkeypatch):
+    # an unset shell variable gives --output '': refused, not written to stdout
+    def keel(*args):
+        raise AssertionError("computed before checking --output")
+
+    monkeypatch.setattr(cli, "iterated_keel", keel)
+    argv = ("chow", "keel", "--n", "6", "--i", "1", "--groups", "--output", "")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: cannot write : No such file or directory\n"
 
 
 def deny_write(monkeypatch, denied):
@@ -867,6 +880,39 @@ def test_every_command_reports_checks(capsys, argv):
     assert code == EXIT_OK
     assert set(doc["checks"]) == SMALL_RUNS[argv]
     assert not {"all_verified", "total_matches_series"} & set(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ("chow", "thmD", "--n", "4", "--i", "1", "--compare-sr"),
+    ("chow", "keel", "--n", "3", "--i", "1", "--groups", "--compare-sr"),
+], ids=" ".join)
+def test_compare_sr_computes_each_group_once(capsys, monkeypatch, argv):
+    group = chow.graded_group
+    calls = Counter()
+
+    def counted(pres, degree):
+        calls[pres, degree] += 1
+        return group(pres, degree)
+
+    monkeypatch.setattr(chow, "graded_group", counted)
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert calls and set(calls.values()) == {1}
+    # the groups printed are the comparison's source column
+    source = [entry["source"] for entry in doc["sr_comparison"]["graded"]]
+    assert doc["graded_groups"] == source
+
+
+def test_motive_checks_hold_for_any_name_of_the_affine_line(capsys, monkeypatch):
+    # the fan's motive and the SR ranks name L through affine_line_class, as
+    # the series do, so the checks read one variable, whatever it is called
+    monkeypatch.setitem(strata.SPECIALIZATIONS["motivic-p1"], "u", MultiPoly.var("M"))
+    for argv in (("fan", "--n", "2", "--i", "1", "--markings", "0+inf"),
+                 ("chow", "sr", "--n", "3", "--i", "1", "--groups")):
+        code, doc = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        assert doc["checks"] and all(doc["checks"].values())
+    assert run_json(capsys, "fan", "--n", "1", "--i", "1")[1]["motive"] == "M + 1"
 
 
 def test_sr_ranks_off_the_motive_exit_with_check_failed(capsys, monkeypatch):

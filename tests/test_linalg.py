@@ -662,6 +662,15 @@ def test_reduced_form_keeps_torsion_in_the_core():
     assert form.residue({0: 2}) == {}
 
 
+def test_reduced_form_with_an_empty_core_runs_no_alternation(monkeypatch):
+    # both rows are unit pivots, so no core is left to take a Smith form of
+    def refused(m):
+        raise AssertionError("invariant_factors called on an empty core")
+
+    monkeypatch.setattr(linalg, "invariant_factors", refused)
+    assert reduced_form([{0: 1}, {1: -1}], 2).invariant_factors() == [1, 1]
+
+
 def test_rational_solve_unique():
     x = rational_solve([[2, 1], [1, -1]], [5, 1])
     assert x == [Fraction(2), Fraction(1)]
