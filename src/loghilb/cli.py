@@ -111,11 +111,13 @@ def _check_series(
     args: argparse.Namespace, what: str, flag: str, count: Count,
     largest: Optional[Count] = None, top: int = MAX_N_MOTIVE, unit: str = "composition",
 ) -> None:
-    """The refusals of the commands that take markings: at least one, and,
-    without --force, no more slots (``count(n, ell)`` per marking, n the
-    value of ``flag``) than the largest job of size ``top`` with three
-    markings fills (``largest(top, 3)`` each; ``largest`` is ``count``
-    unless the job is smaller than the largest of its size)."""
+    """The refusals of the commands that take markings: the value n of
+    ``flag`` within the size cap ``top`` (``_check_cap``), at least one
+    marking, and, without --force, no more slots (``count(n, ell)`` per
+    marking) than the largest job of size ``top`` with three markings fills
+    (``largest(top, 3)`` each; ``largest`` is ``count`` unless the job is
+    smaller than the largest of its size)."""
+    _check_cap(args, top, what, flag)
     if args.ell < 1:
         raise UsageError(f"{what}: need at least one marking")
     if args.force:
@@ -398,7 +400,6 @@ def _chow_compare(args: argparse.Namespace) -> Result:
 
 
 def cmd_motive(args: argparse.Namespace) -> Result:
-    _check_cap(args, MAX_N_MOTIVE, "motive", "N")
     # the oracle enumerates the profiles of every size up to N
     _check_series(
         args, "motive", "N",
@@ -434,7 +435,6 @@ def cmd_motive(args: argparse.Namespace) -> Result:
 def cmd_strata(args: argparse.Namespace) -> Result:
     # one --profile fills ell slots, but the interior series is still
     # expanded to order n
-    _check_cap(args, MAX_N_MOTIVE, "strata")
     count = profile_count if args.profile is None else (lambda n, ell: 1)
     _check_series(args, "strata", "n", count, largest=profile_count)
     if args.profile is not None:

@@ -10,12 +10,16 @@ oracle for the closed-form generating function
 
 with Macdonald's Z_C(t) = ((1 - u*t)(1 - v*t))^g / ((1 - t)(1 - L*t)) and
 L = u*v (Proc. Cambridge Philos. Soc. 58, 1962).  Its motivic, Hodge-Deligne,
-Poincare and Euler modes specialize u and v by one table.  A stratum's
-class, the interior symmetric power times L^(part - 1) per bubble, is
-multiplied out only in ``strata_classes``: the sum, the one-profile class
-and the CLI listing all read it.  The sum and the listing's total add the
-classes into one term map as they come (``MultiPoly.sum``), not by one
-polynomial addition per profile.
+Poincare and Euler modes specialize u and v by one table.  The closed form
+is the interior series Z_C(t) * (1 - t)^ell, the classes of the symmetric
+powers of the curve minus the markings, times B(t)^ell with
+B(t) = (1 - L*t) / (1 - (L+1)*t), the bubble chains of one marking; both
+are Z_C(t) times one ell-th power, expanded by one builder (``_series``).
+A stratum's class, the interior symmetric power times L^(part - 1) per
+bubble, is multiplied out only in ``strata_classes``: the sum, the
+one-profile class and the CLI listing all read it.  The sum and the
+listing's total add the classes into one term map as they come
+(``MultiPoly.sum``), not by one polynomial addition per profile.
 """
 
 from __future__ import annotations
@@ -110,29 +114,29 @@ def _power(f: MultiPoly, e: int, order: int) -> MultiPoly:
     return MultiPoly.sum(comb(e, k) * power for k, power in enumerate(powers))
 
 
-def zeta_num_den(mode: ZetaMode, order: int) -> Tuple[MultiPoly, MultiPoly]:
-    """Numerator and denominator of the symmetric-power generating function:
-    Macdonald's ((1 - u t)(1 - v t))^g / ((1 - t)(1 - u v t)), specialized.
-    The power is taken after the specialization, up to t^order (``_power``)."""
+def _series(
+    mode: ZetaMode, ell: int, order: int, num: MultiPoly, den: MultiPoly
+) -> TruncSeries:
+    """Z_C(t) * (num / den)^ell up to t^order, with Macdonald's
+    Z_C(t) = ((1 - u t)(1 - v t))^g / ((1 - t)(1 - u v t)) specialized for
+    the mode; every power is taken after the specialization (``_power``)."""
+    if ell < 0:
+        raise ValueError("number of markings must be non-negative")
     t, u, v = (MultiPoly.var(name) for name in "tuv")
-    one = MultiPoly.const(1)
     substitution = SPECIALIZATIONS[mode.kind]
-    num = ((one - u * t) * (one - v * t)).specialize(substitution)
-    den = ((one - t) * (one - u * v * t)).specialize(substitution)
-    return _power(num, mode.g, order), den
+    zeta_num = ((ONE - u * t) * (ONE - v * t)).specialize(substitution)
+    zeta_den = ((ONE - t) * (ONE - u * v * t)).specialize(substitution)
+    return TruncSeries.from_rational(
+        _power(zeta_num, mode.g, order) * _power(num, ell, order),
+        zeta_den * _power(den, ell, order),
+        order,
+    )
 
 
 def closed_form(mode: ZetaMode, ell: int, order: int) -> TruncSeries:
     """Truncated generating function of the relative-moduli classes."""
-    if ell < 0:
-        raise ValueError("number of markings must be non-negative")
-    t = MultiPoly.var("t")
-    one = MultiPoly.const(1)
-    lam = affine_line_class(mode)
-    num, den = zeta_num_den(mode, order)
-    num = num * _power((one - lam * t) * (one - t), ell, order)
-    den = den * _power(one - (lam + 1) * t, ell, order)
-    return TruncSeries.from_rational(num, den, order)
+    t, lam = MultiPoly.var("t"), affine_line_class(mode)
+    return _series(mode, ell, order, (ONE - lam * t) * (ONE - t), ONE - (lam + 1) * t)
 
 
 @lru_cache(maxsize=None)
@@ -178,9 +182,7 @@ def interior_sym_coefficients(mode: ZetaMode, ell: int, order: int) -> List[Mult
 
     Read from the series identity Z_{C minus D}(t) = Z_C(t) * (1-t)^ell.
     """
-    num, den = zeta_num_den(mode, order)
-    num = num * _power(MultiPoly.const(1) - MultiPoly.var("t"), ell, order)
-    return list(TruncSeries.from_rational(num, den, order).coeffs)
+    return list(_series(mode, ell, order, ONE - MultiPoly.var("t"), ONE).coeffs)
 
 
 def strata_classes(

@@ -201,6 +201,33 @@ def test_interior_sym_coefficients():
     assert coeffs[1] == L - 1
 
 
+@pytest.mark.parametrize(
+    "mode",
+    [MOTIVIC_P1, ZetaMode("hodge", 1), ZetaMode("poincare", 2), ZetaMode("euler", 2)],
+    ids=str,
+)
+def test_closed_form_is_the_interior_series_times_bubble_chains(mode):
+    # B(t) = (1 - L t) / (1 - (L+1) t) = 1 + t + (L+1) t^2 + (L+1)^2 t^3 + ...
+    top = 8
+    lam = stated_affine_line_class(mode)
+    bubbles = [MultiPoly.const(1)] + [(lam + 1) ** (k - 1) for k in range(1, top + 1)]
+    for ell in range(4):
+        expected = interior_sym_coefficients(mode, ell, top)
+        for _ in range(ell):
+            expected = [
+                MultiPoly.sum(expected[i] * bubbles[k - i] for i in range(k + 1))
+                for k in range(top + 1)
+            ]
+        for order in range(top + 1):
+            assert list(closed_form(mode, ell, order).coeffs) == expected[: order + 1]
+
+
+@pytest.mark.parametrize("series", [closed_form, interior_sym_coefficients])
+def test_series_refuse_a_negative_number_of_markings(series):
+    with pytest.raises(ValueError, match="markings"):
+        series(MOTIVIC_P1, -1, 3)
+
+
 def test_stratum_class_codimension_weight():
     L = MultiPoly.var("L")
     p = StratumProfile(0, ((2,),))
