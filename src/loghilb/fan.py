@@ -312,7 +312,8 @@ def star_subdivide(
     C holding the centre gives way to ``(C - {r}) + {v}`` for each centre ray
     r; kept cones keep their determinants.  A one-ray centre is refused: it
     divides no cone, and its weighted blow-up is a root stack at weight w > 1
-    (the identity at w = 1), which ``blowup_levels`` never asks for.
+    (the identity at w = 1), which ``blowup_levels`` never asks for.  So is
+    a centre that names a ray twice: it gives that ray no one weight.
 
     As v is ``w_r * u_r`` plus rays of F = C - {r}, the new cone has
     det(F + [v]) = det(F + [r]) * w_r: no solve and no determinant is computed.
@@ -323,6 +324,8 @@ def star_subdivide(
     for name, w in centre:
         if name not in index:
             raise FanError(f"centre {names} names no ray {name}")
+        if index[name] in weights:
+            raise FanError(f"centre {names} names ray {name} twice")
         if w < 1:
             raise FanError(f"centre {names} gives {name} weight {w} < 1")
         weights[index[name]] = w

@@ -1,30 +1,35 @@
 """Exact integer linear algebra.
 
-Dense matrices are plain lists of lists of Python integers (arbitrary
-precision).  There is one dense integer row-elimination kernel,
-``hermite_normal_form``, which computes the nonzero rows of the row-style
-Hermite normal form without a transform matrix.  Its pivoting is Euclidean,
-over the live rows of each column, found by one scan, on cores of up to a
-few thousand rows and a few hundred columns (2,205 × 171 at n = 7).
-Invariant factors come from alternating Hermite forms of a matrix and its
-transpose until each row has a single nonzero entry (Kannan–Bachem, SIAM J.
-Comput. 8, 1979), then from one pairwise gcd/lcm pass over the diagonal.
+Integer elimination works on sparse rows, maps ``{column: entry}`` that hold
+no zero entry, and one private row update, ``_subtract``, serves every pass
+over them.  ``hermite_normal_form`` takes such rows and returns the nonzero
+rows of the row-style Hermite normal form, without a transform matrix.  Its
+pivoting is Euclidean, over the live rows of each column, found by one scan,
+on cores of up to a few thousand rows and a few hundred columns (2,205 × 171
+at n = 7, 3.2 % nonzero; its Hermite rows are 1.6 % nonzero).  Invariant
+factors come from alternating Hermite forms of a matrix and its transpose,
+both sparse, until each row has a single nonzero entry (Kannan–Bachem, SIAM
+J. Comput. 8, 1979), then from one pairwise gcd/lcm pass over the diagonal.
 
 Sparse relation matrices, mostly +-1, are first brought to a
-``ReducedForm`` (``reduced_form``): +-1 pivots are eliminated on dict rows
-in Markowitz order, and the dense kernel runs only on the remaining core
-(Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  The form is one
-echelon basis, the +-1 pivot rows and then the core's Hermite rows.  It
-answers row-span membership with no further Hermite form, and starts the
-alternation for invariant factors from the transposed Hermite rows; when the
-pivots clear the whole core, the factors are the pivots' 1s, with no
-Hermite form at all.  The degree-1 form serves the Chow layer's linear solve
-too: its pivots are the variables to eliminate, their residues their images.
+``ReducedForm`` (``reduced_form``): +-1 pivots are eliminated in Markowitz
+order, and the Hermite kernel runs only on the remaining core (Dumas,
+Saunders and Villard, J. Symb. Comp. 32, 2001).  The form is one echelon
+basis, the +-1 pivot rows and then the core's Hermite rows.  It answers
+row-span membership with no further Hermite form, and starts the alternation
+for invariant factors from the transposed Hermite rows; when the pivots
+clear the whole core, the factors are the pivots' 1s, with no Hermite form
+at all.  The degree-1 form serves the Chow layer's linear solve too: its
+pivots are the variables to eliminate, their residues their images.
 
-Square systems have one fraction-free (Bareiss) elimination, which serves
-both ``det`` and ``fraction_free_solve``: one pass over ``[m | b]`` gives
-the determinant and every Cramer numerator at once.  From them the fan layer
-reads cone membership; star subdivision needs neither.
+``invariant_factors`` and ``in_row_span_z`` take dense matrices, lists of
+lists of Python integers, since ``bench/spans.py`` reads their arguments as
+dense rows; they make sparse rows of them on entry.  Dense lists are
+otherwise left only to square systems, which have one fraction-free
+(Bareiss) elimination serving both ``det`` and ``fraction_free_solve``: one
+pass over ``[m | b]`` gives the determinant and every Cramer numerator at
+once.  From them the fan layer reads cone membership; star subdivision needs
+neither.
 
 ``in_row_span_z`` (a Hermite form per query) and ``rational_solve``
 (Cramer's rule over ``Fraction``, imported on call) are test oracles; they
@@ -50,10 +55,15 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 Matrix = List[List[int]]
+SparseRow = Dict[int, int]
 
 
 def _as_lists(m) -> Matrix:
     return [list(map(int, row)) for row in m]
+
+
+def _sparse(m) -> List[SparseRow]:
+    return [{j: int(x) for j, x in enumerate(row) if x} for row in m]
 
 
 def _bareiss(a: Matrix, n: int) -> int:
@@ -128,62 +138,79 @@ def fraction_free_solve(m, b: Sequence[int]) -> Tuple[int, List[int]]:
     return sign * d, [sign * v for v in y]
 
 
-def hermite_normal_form(m) -> Matrix:
-    """Nonzero rows of the row-style Hermite normal form H of m (at most one
-    per column), reached by unimodular row operations.
+def _subtract(row: SparseRow, q: int, pivot: Mapping[int, int]) -> None:
+    """row -= q * pivot, in place, for q != 0; an entry that cancels leaves
+    the row, so no row holds a zero."""
+    for j, v in pivot.items():
+        new = row.get(j, 0) - q * v
+        if new:
+            row[j] = new
+        else:
+            del row[j]
 
-    H is in row echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot).  Row updates at column c run from c on:
-    the pivot row and every row below it are zero left of c.
+
+def hermite_normal_form(rows: Iterable[Mapping[int, int]]) -> List[SparseRow]:
+    """Nonzero rows of the row-style Hermite normal form H of the matrix with
+    the given sparse rows {column: entry}, reached by unimodular row
+    operations; the input rows are left as they are.
+
+    H is in row echelon form over the columns in increasing order, with
+    positive pivots and entries above each pivot reduced into [0, pivot).
+    Its rows hold no zero entry, so a row's lead column is ``min(row)``.
+    Each column gcds its live rows, those nonzero there at or below the
+    current row, into the current row by Euclidean steps whose pivot is the
+    live row of least absolute entry.  The pivot row and every row below it
+    are zero left of the column, so ``_subtract`` touches no earlier column.
     """
-    a = _as_lists(m)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    a = [row for row in ({j: v for j, v in m.items() if v} for m in rows) if row]
     r = 0
-    for c in range(ncols):
-        # gcd the live rows (nonzero in column c, at or below r) into row r
-        live = [i for i in range(r, nrows) if a[i][c]]
+    for c in sorted({j for row in a for j in row}):
+        live = [i for i in range(r, len(a)) if c in a[i]]
         if not live:
             continue
         while True:
             piv = min(live, key=lambda i: abs(a[i][c]))
             a[r], a[piv] = a[piv], a[r]
-            # the row from r is now at piv, live if nonzero; rest keeps row order,
+            # the row from r is now at piv, live if it holds c; rest keeps row order,
             # so ties go to the lowest row (other orders grew entries at n = 8)
-            rest = [i for i in live if i != (r if a[piv][c] else piv)]
+            rest = [i for i in live if i != (r if c in a[piv] else piv)]
             if not rest:
                 break
-            tail = a[r][c:]
+            pivot = a[r]
             for i in rest:
-                q = a[i][c] // tail[0]
-                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
-            live = [r] + [i for i in rest if a[i][c]]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        tail = a[r][c:]
+                _subtract(a[i], a[i][c] // pivot[c], pivot)
+            live = [r] + [i for i in rest if c in a[i]]
+        pivot = a[r]
+        if pivot[c] < 0:
+            for j in pivot:
+                pivot[j] = -pivot[j]
         for i in range(r):
-            q = a[i][c] // tail[0]
+            q = a[i].get(c, 0) // pivot[c]
             if q:
-                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
+                _subtract(a[i], q, pivot)
         r += 1
-        if r == nrows:
+        if r == len(a):
             break
     return a[:r]
 
 
 def invariant_factors(m) -> List[int]:
-    """Nonzero diagonal entries of the Smith normal form.
+    """Nonzero diagonal entries of the Smith normal form of the dense matrix m.
 
     Row-style Hermite forms of the matrix and of its transpose alternate
     until every row has a single nonzero entry.
     """
-    a = m
+    a = _sparse(m)
     while True:
         a = hermite_normal_form(a)
-        if all(sum(1 for x in row if x) == 1 for row in a):
+        if all(len(row) == 1 for row in a):
             break
-        a = [list(col) for col in zip(*a)]
-    diag = [abs(x) for row in a for x in row if x]
+        columns: Dict[int, SparseRow] = {}
+        for i, row in enumerate(a):
+            for j, v in row.items():
+                columns.setdefault(j, {})[i] = v
+        a = [columns[j] for j in sorted(columns)]
+    diag = [abs(v) for row in a for v in row.values()]
     # a diagonal reached by unimodular operations gives the invariant factors
     # after one pairwise gcd/lcm pass: once position i is done it divides every
     # later entry, and the gcd and lcm of two multiples of it are multiples of it
@@ -196,22 +223,20 @@ def invariant_factors(m) -> List[int]:
 
 
 def in_row_span_z(m, target: Sequence[int]) -> bool:
-    """Is the target vector an integer combination of the rows of m?
+    """Is the target vector an integer combination of the rows of the dense
+    matrix m?
 
     Test oracle for ``ReducedForm.residue``.
     """
-    b = list(map(int, target))
-    for row in hermite_normal_form(m):
-        lead = next(j for j, x in enumerate(row) if x)
-        if b[lead] % row[lead] != 0:
+    b = _sparse([target])[0]
+    for row in hermite_normal_form(_sparse(m)):
+        lead = min(row)
+        q, left = divmod(b.get(lead, 0), row[lead])
+        if left:
             return False
-        q = b[lead] // row[lead]
-        for j in range(lead, len(b)):
-            b[j] -= q * row[j]
-    return all(x == 0 for x in b)
-
-
-SparseRow = Dict[int, int]
+        if q:
+            _subtract(b, q, row)
+    return not b
 
 
 def eliminate_unit_pivots(
@@ -228,7 +253,8 @@ def eliminate_unit_pivots(
     of earlier pivots, and the core is zero in every pivot column.
 
     A column-to-rows index and the row and column counts are kept up to date
-    as rows change.  Candidate entries sit in a heap under the cost they had
+    as rows change: after each row update, from the row's entries in the
+    pivot's columns.  Candidate entries sit in a heap under the cost they had
     when pushed: an entry is pushed again whenever its cost falls, and one
     popped under a cost that has since risen goes back under the new cost,
     so the entry taken always has the least cost.  ``heapq`` is imported on
@@ -263,24 +289,18 @@ def eliminate_unit_pivots(
             continue
         del active[k]
         pivots.append((c, pivot))
-        # columns whose count falls: the pivot row's, and any that cancel
-        fallen = set(pivot)
+        # columns whose count falls: those of the pivot row, which hold every
+        # entry that cancels
         for j in pivot:
             columns[j].discard(k)
-        sign = pivot[c]
         for other in sorted(columns[c]):
             row = active[other]
-            q = row[c] * sign
-            for j, v in pivot.items():
-                new = row.get(j, 0) - q * v
-                if new:
-                    if j not in row:
-                        columns[j].add(other)
-                    row[j] = new
+            _subtract(row, row[c] * pivot[c], pivot)
+            for j in pivot:
+                if j in row:
+                    columns[j].add(other)
                 else:
-                    del row[j]
                     columns[j].discard(other)
-                    fallen.add(j)
             if not row:
                 del active[other]
                 continue
@@ -288,7 +308,7 @@ def eliminate_unit_pivots(
             for j, v in row.items():
                 if v == 1 or v == -1:
                     heapq.heappush(heap, (size * (len(columns[j]) - 1), other, j))
-        for j in fallen:
+        for j in pivot:
             count = len(columns[j]) - 1
             for other in columns[j]:
                 row = active[other]
@@ -324,23 +344,16 @@ class ReducedForm(NamedTuple):
         for lead, row in self.basis:
             q = b.get(lead, 0) // row[lead]
             if q:
-                for j, v in row.items():
-                    new = b.get(j, 0) - q * v
-                    if new:
-                        b[j] = new
-                    else:
-                        del b[j]
+                _subtract(b, q, row)
         return dict(sorted(b.items()))
 
 
 def reduced_form(rows: Iterable[Mapping[int, int]], ncols: int) -> ReducedForm:
-    """The ``ReducedForm`` of the matrix with the given sparse rows."""
+    """The ``ReducedForm`` of the matrix with the given sparse rows: the unit
+    pass, then the Hermite form of the core it leaves."""
     pivots, core = eliminate_unit_pivots(rows)
-    used = sorted({j for row in core for j in row})
-    hermite = hermite_normal_form([[row.get(j, 0) for j in used] for row in core])
-    core_rows = ({used[j]: x for j, x in enumerate(row) if x} for row in hermite)
-    basis = tuple(pivots) + tuple((min(row), row) for row in core_rows)
-    return ReducedForm(ncols, len(pivots), basis)
+    hermite = tuple((min(row), row) for row in hermite_normal_form(core))
+    return ReducedForm(ncols, len(pivots), tuple(pivots) + hermite)
 
 
 def rational_solve(a, b: Sequence[int]) -> List[Fraction]:

@@ -150,11 +150,15 @@ def compositions(total: int) -> Tuple[Composition, ...]:
     )
 
 
+def _check_sizes(n: int, ell: int) -> None:
+    if n < 0 or ell < 1:
+        raise ValueError("need n >= 0 and at least one marking")
+
+
 def enumerate_profiles(n: int, ell: int) -> List[StratumProfile]:
     """All stratum profiles of total length n for ell markings: interior
     length m from n down, then the ell bubble totals in lexicographic order."""
-    if n < 0 or ell < 1:
-        raise ValueError("need n >= 0 and at least one marking")
+    _check_sizes(n, ell)
     return [
         StratumProfile(m, nu)
         for m in range(n, -1, -1)
@@ -170,6 +174,7 @@ def profile_count(n: int, ell: int) -> int:
     m points in the interior, and its ell compositions of the other k = n - m
     join into one composition of k into p parts, cut into ell runs.
     """
+    _check_sizes(n, ell)
     return 1 + sum(
         comb(k - 1, p - 1) * comb(p + ell - 1, p)
         for k in range(1, n + 1)

@@ -233,6 +233,17 @@ def test_ray_labels_are_distinct():
             [("tau", 3)],
             "centre {tau} is one ray; a star subdivision needs two or more",
         ),
+        # a ray named twice has no one weight, even when no other ray is named
+        (
+            projective_fan(2),
+            [("sigma_1", 1), ("sigma_1", 2), ("sigma_2", 1)],
+            "centre {sigma_1, sigma_1, sigma_2} names ray sigma_1 twice",
+        ),
+        (
+            projective_fan(2),
+            [("sigma_1", 1), ("sigma_1", 1)],
+            "centre {sigma_1, sigma_1} names ray sigma_1 twice",
+        ),
     ],
 )
 def test_star_subdivide_refusals(base, centre, message):

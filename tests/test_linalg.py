@@ -402,24 +402,33 @@ def test_invariant_factors_of_a_diagonal_match_fixed_point_oracle(entries):
     assert invariant_factors(diagonal) == fixed_point_gcd_lcm(entries)
 
 
+def sparse(m: Matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def dense(rows, ncols: int) -> Matrix:
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 def test_hermite_row_style():
     m = [[2, 3, 6, 2], [5, 6, 1, 6], [8, 3, 1, 1]]
-    h = hermite_normal_form(m)
-    assert h == [[1, 0, 50, -11], [0, 3, 28, -2], [0, 0, 61, -13]]
+    h = hermite_normal_form(sparse(m))
+    assert h == [{0: 1, 2: 50, 3: -11}, {1: 3, 2: 28, 3: -2}, {2: 61, 3: -13}]
     # echelon with positive pivots, entries above pivots reduced
-    pivots = []
+    leads = [min(row) for row in h]
+    assert leads == sorted(set(leads))
     for i, row in enumerate(h):
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is not None:
-            assert row[lead] > 0
-            assert all(0 <= h[k][lead] < row[lead] for k in range(i))
-            pivots.append(lead)
-    assert pivots == sorted(pivots)
+        lead = leads[i]
+        assert row[lead] > 0
+        assert all(0 <= h[k].get(lead, 0) < row[lead] for k in range(i))
+    # columns are taken in increasing order, whatever order a row lists them in
+    assert hermite_normal_form([dict(reversed(row.items())) for row in sparse(m)]) == h
 
 
 def full_row_hermite_normal_form(m) -> Matrix:
-    """Oracle for ``hermite_normal_form``: the same elimination, with each row
-    update over the whole row rather than from the pivot column on."""
+    """Oracle for ``hermite_normal_form``: the same elimination on dense rows,
+    with each row update over the whole row rather than over the pivot's
+    nonzero entries."""
     a = _as_lists(m)
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -465,11 +474,32 @@ def full_row_hermite_normal_form(m) -> Matrix:
 @example([[21, 1, 0], [13, 2, 1], [8, 0, 3], [5, 1, 1], [0, 4, 2], [34, 3, 5]])
 @example([[18, 1, 2], [28, 0, 1], [33, 2, 0], [-18, 1, 1], [-36, 3, 0], [-44, 0, 1]])
 def test_hermite_suffix_updates_match_full_row_oracle(m):
-    before = [list(row) for row in m]
-    h = hermite_normal_form(m)
-    assert h == [row for row in full_row_hermite_normal_form(m) if any(row)]
-    assert all(any(row) for row in h)
-    assert m == before
+    rows = sparse(m)
+    before = [dict(row) for row in rows]
+    h = hermite_normal_form(rows)
+    ncols = len(m[0]) if m else 0
+    assert dense(h, ncols) == [row for row in full_row_hermite_normal_form(m) if any(row)]
+    assert all(row and all(row.values()) for row in h)
+    assert rows == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(max_rows=8, max_cols=8), st.data())
+def test_hermite_rows_are_nonzero_echelon_rows(m, data):
+    # int_matrices zeroes some rows and columns; the maps also keep some
+    # zero entries and list their columns in a drawn order
+    ncols = len(m[0]) if m else 1
+    columns = st.sets(st.integers(0, ncols - 1))
+    kept = data.draw(st.lists(columns, min_size=len(m), max_size=len(m)))
+    order = data.draw(st.permutations(range(ncols)))
+    rows = [{j: row[j] for j in order if row[j] or j in keep} for row, keep in zip(m, kept)]
+    before = [dict(row) for row in rows]
+    h = hermite_normal_form(rows)
+    for row in h:
+        assert all(row.values())
+        assert row[min(row)] > 0
+    assert dense(h, ncols) == [row for row in full_row_hermite_normal_form(m) if any(row)]
+    assert rows == before
 
 
 def test_in_row_span_z():
@@ -508,10 +538,6 @@ def test_in_row_span_z_matches_reference(m, data):
 
 # ---------------------------------------------------------------------------
 # the sparse reduced form against the dense kernel
-
-
-def sparse(m: Matrix):
-    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 def naive_unit_pivots(m: Matrix):

@@ -180,6 +180,12 @@ def test_profile_count_counts_without_enumerating():
             assert profile_count(n, ell) == len(enumerate_profiles(n, ell))
     # the coefficient of t^n in ((1-t)/(1-2t))^ell / (1-t)
     assert [profile_count(n, 3) for n in (12, 14)] == [120832, 618496]
+    # both refuse a negative length and a count of markings below one
+    refusal = "^need n >= 0 and at least one marking$"
+    for n, ell in ((-1, 1), (3, 0), (0, 0), (2, -1)):
+        for count in (profile_count, enumerate_profiles):
+            with pytest.raises(ValueError, match=refusal):
+                count(n, ell)
 
 
 def test_zeta_series_p1():
